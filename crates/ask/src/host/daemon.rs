@@ -8,7 +8,7 @@ use crate::host::backoff::{splitmix64, BackoffPolicy};
 use crate::host::congestion::CongestionWindow;
 use crate::host::packetizer::{Packetizer, PendingStream};
 use crate::host::receiver::ReceiverWindow;
-use crate::host::table::TaskTable;
+use crate::host::table::{fold_entry, TaskTable};
 use crate::host::trace::{TraceEvent, TraceLog};
 use crate::host::window::SenderWindow;
 use crate::stats::{burst_bucket, HostStats};
@@ -209,6 +209,9 @@ pub struct AskDaemon {
     /// Scratch for batched receive-window observations (view path only),
     /// kept across bursts to avoid reallocating.
     obs_scratch: Vec<Observation>,
+    /// Parsed views of the burst being handled (view path only); emptied
+    /// after every burst so no frame outlives it, capacity kept.
+    burst_views: Vec<(bool, FrameView)>,
 }
 
 impl AskDaemon {
@@ -247,6 +250,7 @@ impl AskDaemon {
             scalar,
             merge_batch: Vec::new(),
             obs_scratch: Vec::new(),
+            burst_views: Vec::new(),
         }
     }
 
@@ -963,7 +967,10 @@ impl AskDaemon {
                     rt.want_final = true;
                 }
             }
-            Some(false) => self.complete(task, ctx),
+            Some(false) => {
+                let entries = rt.residual.take_entries(0);
+                self.complete(task, entries, ctx);
+            }
             None => {
                 // Region RPC still in flight; completion re-checked when the
                 // grant/deny arrives.
@@ -998,7 +1005,9 @@ impl AskDaemon {
         ctx.set_timer(self.config.fetch_timeout, token_fetch(task, fetch_seq));
     }
 
-    fn complete(&mut self, task: TaskId, ctx: &mut Context<'_>) {
+    /// Publishes `entries` — the drained residual table, with the final
+    /// fetch reply already folded in — as the task's result.
+    fn complete(&mut self, task: TaskId, entries: HashMap<Key, u32>, ctx: &mut Context<'_>) {
         let now = ctx.now();
         self.trace.record(now, TraceEvent::TaskCompleted { task });
         let ina = {
@@ -1006,7 +1015,7 @@ impl AskDaemon {
             debug_assert!(rt.result.is_none());
             rt.result = Some(TaskResult {
                 task,
-                entries: rt.residual.take_entries(),
+                entries,
                 completed_at: now,
             });
             rt.ina == Some(true)
@@ -1021,15 +1030,23 @@ impl AskDaemon {
         }
     }
 
-    fn on_fetch_reply(
+    /// Applies a fetch reply whose entries arrive as `(hash64, key bytes,
+    /// value)` — the one merge both receive paths share, so they cannot
+    /// diverge. Returns false (and does nothing) for a stray or stale reply.
+    ///
+    /// A swap-triggered reply merges into the residual table. The final
+    /// reply never touches it: the table drains into the result map,
+    /// pre-sized for the reply, and the reply folds straight in.
+    fn apply_fetch_reply<'a>(
         &mut self,
         task: TaskId,
         fetch_seq: u32,
-        entries: Arc<Vec<KvTuple>>,
+        n: u64,
+        entries: impl IntoIterator<Item = (u64, &'a [u8], u32)>,
         ctx: &mut Context<'_>,
-    ) {
+    ) -> bool {
         let Some(rt) = self.recv_tasks.get_mut(&task) else {
-            return;
+            return false;
         };
         let FetchState::Pending {
             fetch_seq: pending,
@@ -1037,27 +1054,51 @@ impl AskDaemon {
             ..
         } = rt.fetch
         else {
-            return; // stray or already-handled reply
+            return false; // stray or already-handled reply
         };
         if fetch_seq != pending {
-            return;
+            return false;
         }
         rt.fetch = FetchState::Idle;
-        let n = entries.len() as u64;
+        let op = rt.op;
+        let result = if is_final {
+            let mut result = rt.residual.take_entries(n as usize);
+            for (_, key, value) in entries {
+                fold_entry(&mut result, key, value, op);
+            }
+            Some(result)
+        } else {
+            for (hash, key, value) in entries {
+                rt.residual.merge_hashed(hash, key, value, op);
+            }
+            None
+        };
+        let want_final = rt.want_final;
         self.trace
             .record(ctx.now(), TraceEvent::FetchMerged { task, entries: n });
         self.stats.tuples_fetched += n;
-        // The decoded reply normally holds the only reference, so this is a
-        // move; a deep copy happens only if something else still shares it.
-        let entries = Arc::try_unwrap(entries).unwrap_or_else(|a| (*a).clone());
-        self.merge_residual(task, entries);
-        let rt = self.recv_tasks.get_mut(&task).expect("task present");
-        let want_final = rt.want_final;
-        if is_final {
-            self.complete(task, ctx);
+        self.stats.tuples_host_aggregated += n;
+        self.cpu_busy += self.config.cpu_per_tuple.saturating_mul(n);
+        if let Some(result) = result {
+            self.complete(task, result, ctx);
         } else if want_final {
             self.begin_final_fetch(task, ctx);
         }
+        true
+    }
+
+    fn on_fetch_reply(
+        &mut self,
+        task: TaskId,
+        fetch_seq: u32,
+        entries: Arc<Vec<KvTuple>>,
+        ctx: &mut Context<'_>,
+    ) {
+        let n = entries.len() as u64;
+        let tuples = entries
+            .iter()
+            .map(|t| (t.key.hash64(), t.key.as_bytes(), t.value));
+        self.apply_fetch_reply(task, fetch_seq, n, tuples, ctx);
     }
 
     fn on_fetch_timer(&mut self, task: TaskId, fetch_seq_low: u32, ctx: &mut Context<'_>) {
@@ -1476,8 +1517,7 @@ impl AskDaemon {
     }
 
     /// Merges a fetch reply's entries straight off the frame bytes — no
-    /// `Arc<Vec<KvTuple>>` is ever built for the body. State-machine
-    /// behavior mirrors [`AskDaemon::on_fetch_reply`] exactly.
+    /// `Arc<Vec<KvTuple>>` is ever built for the body.
     fn on_fetch_reply_view(
         &mut self,
         task: TaskId,
@@ -1486,39 +1526,12 @@ impl AskDaemon {
         view: &FrameView,
         ctx: &mut Context<'_>,
     ) {
-        let Some(rt) = self.recv_tasks.get_mut(&task) else {
-            return;
-        };
-        let FetchState::Pending {
-            fetch_seq: pending,
-            is_final,
-            ..
-        } = rt.fetch
-        else {
-            return; // stray or already-handled reply
-        };
-        if fetch_seq != pending {
-            return;
-        }
-        rt.fetch = FetchState::Idle;
-        let n = entry_count as u64;
-        self.trace
-            .record(ctx.now(), TraceEvent::FetchMerged { task, entries: n });
-        self.stats.tuples_fetched += n;
-        self.stats.host_pure_view += 1;
-        let rt = self.recv_tasks.get_mut(&task).expect("task present");
-        let op = rt.op;
-        for e in view.entries().expect("fetch replies carry entries") {
-            rt.residual.merge_hashed(e.hash64(), e.key_bytes(), e.value(), op);
-        }
-        self.stats.tuples_host_aggregated += n;
-        self.cpu_busy += self.config.cpu_per_tuple.saturating_mul(n);
-        let rt = self.recv_tasks.get_mut(&task).expect("task present");
-        let want_final = rt.want_final;
-        if is_final {
-            self.complete(task, ctx);
-        } else if want_final {
-            self.begin_final_fetch(task, ctx);
+        let entries = view
+            .entries()
+            .expect("fetch replies carry entries")
+            .map(|e| (e.hash64(), e.key_bytes(), e.value()));
+        if self.apply_fetch_reply(task, fetch_seq, entry_count as u64, entries, ctx) {
+            self.stats.host_pure_view += 1;
         }
     }
 
@@ -1648,7 +1661,7 @@ impl AskDaemon {
     /// borrowed views, consecutive same-channel data frames ingest as runs,
     /// and the deferred merge batch drains exactly once at the end.
     fn on_frames_view(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
-        let mut frames: Vec<(bool, FrameView)> = Vec::with_capacity(burst.len());
+        let mut frames = std::mem::take(&mut self.burst_views);
         for (_, frame) in burst.drain(..) {
             let ecn = frame.ecn_marked();
             if let Ok(view) = FrameView::parse(frame.into_payload()) {
@@ -1693,6 +1706,8 @@ impl AskDaemon {
             i = j;
         }
         self.flush_merge_batch();
+        frames.clear();
+        self.burst_views = frames;
     }
 }
 
@@ -1776,6 +1791,64 @@ mod tests {
         let t = token_pump(5);
         assert_eq!(t >> 56, TK_PUMP);
         assert_eq!(t & 0xffff_ffff, 5);
+    }
+
+    #[test]
+    fn completion_frees_the_residual_table_and_late_duplicates_still_ack() {
+        use crate::service::{reference_aggregate, AskServiceBuilder};
+        use ask_wire::codec::encode_envelope;
+        use ask_wire::packet::DataPacket;
+
+        let cfg = AskConfig::tiny();
+        let layout = cfg.layout;
+        let mut service = AskServiceBuilder::new(2).config(cfg).seed(3).build();
+        let hosts = service.hosts().to_vec();
+        let task = TaskId(1);
+        // Far more keys than the tiny region holds: most land in the
+        // residual table, the rest come back in the final fetch.
+        let stream: Vec<KvTuple> = (0..400u64)
+            .map(|i| KvTuple::new(Key::from_u64(i % 150), (i % 7 + 1) as u32))
+            .collect();
+        let want = reference_aggregate(stream.clone());
+        service.submit_task(task, hosts[0], &[hosts[1]]);
+        service.submit_stream(task, hosts[1], stream);
+        service.run_until_complete(task, hosts[0], 50_000_000).unwrap();
+        assert_eq!(service.result(task, hosts[0]).unwrap(), want);
+
+        let recv = service.daemon(hosts[0]);
+        assert!(recv.stats().tuples_fetched > 0, "the switch absorbed some keys");
+        assert_eq!(recv.recv_tasks[&task].residual.capacity(), 0);
+        let dups_before = recv.stats().duplicates_dropped;
+        let (&channel, window) = recv.recv_windows.iter().next().expect("one data channel");
+        // A sequence number the receiver did see (the switch absorbed some
+        // packets whole; those never reached it).
+        let seq = (0..window.max_seq())
+            .rev()
+            .find(|&s| window.clone().observe(s) == Observation::Duplicate)
+            .map(SeqNo)
+            .expect("the receiver saw data packets");
+
+        // Replay that data packet straight into the receiver.
+        let mut slots = vec![None; layout.slot_count()];
+        slots[0] = Some(KvTuple::new(Key::from_u64(1), 1_000));
+        let late = AskPacket::Data(DataPacket {
+            task,
+            channel,
+            seq,
+            slots,
+        });
+        let env = Envelope::new(hosts[1].index() as u32, hosts[0].index() as u32, late);
+        let frame = Frame::new(encode_envelope(&env, &layout));
+        let switch = service.switch_id();
+        service
+            .network_mut()
+            .with_node::<AskDaemon, _>(hosts[0], |d, ctx| d.on_frame(switch, frame, ctx));
+        service.run_to_idle();
+
+        let recv = service.daemon(hosts[0]);
+        assert_eq!(recv.stats().duplicates_dropped, dups_before + 1);
+        assert_eq!(recv.recv_tasks[&task].residual.capacity(), 0);
+        assert_eq!(service.result(task, hosts[0]).unwrap(), want);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 
 use ask_wire::key::Key;
 use ask_wire::packet::AggregateOp;
-use bytes::Bytes;
 use std::collections::HashMap;
 
 /// Key bytes stored inline in a slot. Together with the hash, value, and
@@ -176,23 +175,29 @@ impl TaskTable {
         self.arena.clear();
     }
 
+    /// Allocated slot count; `0` once [`TaskTable::take_entries`] has
+    /// released the table's memory.
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
     fn materialize_key(&self, ix: usize) -> Key {
-        Key::new(Bytes::copy_from_slice(self.slot_key(ix)))
-            .expect("table keys come from validated wire bytes")
+        Key::from_slice(self.slot_key(ix)).expect("table keys come from validated wire bytes")
     }
 
     /// Drains the table into the `HashMap` the application-facing
-    /// [`TaskResult`](crate::host::daemon::TaskResult) exposes, leaving the
-    /// table empty (capacity retained).
-    pub fn take_entries(&mut self) -> HashMap<Key, u32> {
-        let mut out = HashMap::with_capacity(self.len);
-        for ix in 0..self.slots.len() {
-            if self.slots[ix].key_len == 0 {
-                continue;
+    /// [`TaskResult`](crate::host::daemon::TaskResult) exposes, pre-sized
+    /// for `extra` more keys (the final fetch reply, folded in afterwards
+    /// with [`fold_entry`]). The table is left empty and its slot array and
+    /// arena are freed: a finished task pins no memory.
+    pub fn take_entries(&mut self, extra: usize) -> HashMap<Key, u32> {
+        let table = std::mem::take(self);
+        let mut out = HashMap::with_capacity(table.len + extra);
+        for ix in 0..table.slots.len() {
+            if table.slots[ix].key_len != 0 {
+                out.insert(table.materialize_key(ix), table.slots[ix].value);
             }
-            out.insert(self.materialize_key(ix), self.slots[ix].value);
         }
-        self.clear();
         out
     }
 
@@ -210,10 +215,24 @@ impl TaskTable {
     }
 }
 
+/// Merges `value` under the key whose bytes are `key` straight into a
+/// result map — how the final fetch reply completes a task without passing
+/// through a [`TaskTable`]. Keys up to
+/// [`INLINE_KEY_CAP`](ask_wire::key::INLINE_KEY_CAP) bytes are built
+/// without allocating.
+pub fn fold_entry(entries: &mut HashMap<Key, u32>, key: &[u8], value: u32, op: AggregateOp) {
+    let key = Key::from_slice(key).expect("fetched keys come from validated wire bytes");
+    entries
+        .entry(key)
+        .and_modify(|v| *v = op.combine(*v, value))
+        .or_insert(value);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fasthash::FastMap;
+    use proptest::prelude::*;
 
     fn keys() -> Vec<Key> {
         // Short inline keys, boundary-length keys, and arena-backed long
@@ -271,7 +290,7 @@ mod tests {
                 table.merge(k, *v, op);
             }
             assert_eq!(table.len(), want.len());
-            assert_eq!(table.take_entries(), want);
+            assert_eq!(table.take_entries(0), want);
         }
     }
 
@@ -285,7 +304,7 @@ mod tests {
             by_key.merge(k, *v, op);
             by_hash.merge_hashed(k.hash64(), k.as_bytes(), *v, op);
         }
-        assert_eq!(by_key.take_entries(), by_hash.take_entries());
+        assert_eq!(by_key.take_entries(0), by_hash.take_entries(0));
     }
 
     #[test]
@@ -322,9 +341,10 @@ mod tests {
         let mut table = TaskTable::new();
         table.merge(&Key::from_u64(1), 5, AggregateOp::Sum);
         assert_eq!(table.len(), 1);
-        assert_eq!(table.take_entries().len(), 1);
+        assert_eq!(table.take_entries(0).len(), 1);
         assert!(table.is_empty());
-        assert!(table.take_entries().is_empty());
+        assert_eq!(table.capacity(), 0, "the drain frees the slot array");
+        assert!(table.take_entries(0).is_empty());
         // The table stays usable after the drain.
         table.merge(&Key::from_u64(2), 9, AggregateOp::Sum);
         assert_eq!(table.sorted_entries(), vec![(Key::from_u64(2), 9)]);
@@ -343,9 +363,64 @@ mod tests {
             table.merge(&Key::from_u64(i + 1), 1, op);
         }
         table.merge(&long_a, 10, op);
-        let entries = table.take_entries();
+        let entries = table.take_entries(0);
         assert_eq!(entries[&long_a], 11);
         assert_eq!(entries[&long_b], 2);
         assert_eq!(entries.len(), 202);
+    }
+
+    /// Key pool for the fold-equivalence property: lengths straddling the
+    /// medium width (8/9 bytes with the default layout), [`INLINE_CAP`]
+    /// (20/21) and [`ask_wire::key::INLINE_KEY_CAP`] (23/24), plus short
+    /// and arena-only keys, three distinct keys per length.
+    fn fold_pool() -> Vec<Key> {
+        let mut pool = Vec::new();
+        for len in [1, 4, 8, 9, 20, 21, 23, 24, 40] {
+            for first in [b'a', b'b', b'c'] {
+                let mut bytes = vec![b'k'; len];
+                bytes[0] = first;
+                pool.push(Key::from_slice(&bytes).unwrap());
+            }
+        }
+        pool
+    }
+
+    proptest! {
+        /// Completing with the final fetch folded straight into the drained
+        /// result map equals the old path: merge the reply into the table,
+        /// then drain it.
+        #[test]
+        fn final_fold_equals_merge_then_take(
+            op in prop_oneof![Just(AggregateOp::Sum), Just(AggregateOp::Max), Just(AggregateOp::Min)],
+            residual in proptest::collection::vec((0..27usize, any::<u32>()), 0..60),
+            fetched in proptest::collection::vec((0..27usize, any::<u32>()), 0..60),
+            disjoint in any::<bool>(),
+        ) {
+            let pool = fold_pool();
+            // Disjoint: residual keys from the even pool slots, fetched keys
+            // from the odd ones. Overlapping: both draw from the whole pool.
+            let rk = |i: usize| if disjoint { i & !1 } else { i };
+            let fk = |i: usize| if disjoint { (i | 1).min(25) } else { i };
+            let mut table = TaskTable::new();
+            for &(i, v) in &residual {
+                table.merge(&pool[rk(i)], v, op);
+            }
+            let mut merged = TaskTable::new();
+            for &(i, v) in &residual {
+                merged.merge(&pool[rk(i)], v, op);
+            }
+            for &(i, v) in &fetched {
+                let k = &pool[fk(i)];
+                merged.merge_hashed(k.hash64(), k.as_bytes(), v, op);
+            }
+            let want = merged.take_entries(0);
+
+            let mut got = table.take_entries(fetched.len());
+            for &(i, v) in &fetched {
+                fold_entry(&mut got, pool[fk(i)].as_bytes(), v, op);
+            }
+            prop_assert_eq!(table.capacity(), 0);
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -554,7 +554,7 @@ impl AggregatorEngine {
         self.pipeline.table_remove(self.task_table, task.0 as u64);
         for copy in 0..2 {
             let claims = std::mem::take(&mut entry.claims[copy]);
-            self.reset_claims(&claims, copy);
+            self.reset_claims(&claims);
         }
         self.free_indicators.push(entry.indicator_idx);
         self.free_regions
@@ -1360,18 +1360,23 @@ impl AggregatorEngine {
         let active = self
             .pipeline
             .control_read(self.copy_indicator, entry.indicator_idx) as usize;
-        let copies: Vec<usize> = match scope {
-            FetchScope::Inactive => vec![1 - active],
-            FetchScope::All => vec![0, 1],
+        let copies = match scope {
+            FetchScope::Inactive => 1 - active..2 - active,
+            FetchScope::All => 0..2,
         };
-        let mut harvest = Vec::new();
+        // Every harvested entry comes from one claim: size the reply once.
+        let claimed = copies.clone().map(|c| entry.claims[c].len()).sum();
+        let mut harvest = Vec::with_capacity(claimed);
         for copy in copies {
-            let claims = {
+            let mut claims = {
                 let entry = self.task_slots[slot].as_mut().expect("present");
                 std::mem::take(&mut entry.claims[copy])
             };
-            self.harvest_claims(&claims, copy, &mut harvest);
-            self.reset_claims(&claims, copy);
+            self.harvest_claims(&claims, &mut harvest);
+            self.reset_claims(&claims);
+            // Hand the emptied list back so the copy's next claims reuse it.
+            claims.clear();
+            self.task_slots[slot].as_mut().expect("present").claims[copy] = claims;
         }
         let harvest = Arc::new(harvest);
         let entry = self.task_slots[slot].as_mut().expect("present");
@@ -1380,8 +1385,12 @@ impl AggregatorEngine {
         harvest
     }
 
-    fn harvest_claims(&self, claims: &[Claim], _copy: usize, out: &mut Vec<KvTuple>) {
+    /// Reads every claimed aggregator into `out`. A claim's `idx` already
+    /// includes its copy's offset, so no copy index is needed.
+    fn harvest_claims(&self, claims: &[Claim], out: &mut Vec<KvTuple>) {
         let layout = &self.config.layout;
+        // One segment buffer for the whole harvest, not one per key.
+        let mut segs = Vec::with_capacity(layout.medium_segments());
         for claim in claims {
             match *claim {
                 Claim::Short { aa, idx } => {
@@ -1396,7 +1405,7 @@ impl AggregatorEngine {
                 Claim::Medium { group, idx } => {
                     let m = layout.medium_segments();
                     let base_aa = layout.short_slots() + group * m;
-                    let mut segs = Vec::with_capacity(m);
+                    segs.clear();
                     let mut value = 0u32;
                     for s in 0..m {
                         let raw = self.pipeline.control_read(self.aas[base_aa + s], idx);
@@ -1415,7 +1424,7 @@ impl AggregatorEngine {
         }
     }
 
-    fn reset_claims(&mut self, claims: &[Claim], _copy: usize) {
+    fn reset_claims(&mut self, claims: &[Claim]) {
         let layout = self.config.layout;
         for claim in claims {
             match *claim {

@@ -119,17 +119,25 @@ impl Key {
     ///
     /// Returns [`KeyError`] if `bytes` is empty or contains a NUL byte.
     pub fn new(bytes: Bytes) -> Result<Self, KeyError> {
-        if bytes.is_empty() {
-            return Err(KeyError::Empty);
-        }
-        if bytes.contains(&0) {
-            return Err(KeyError::ContainsNul);
-        }
+        validate(&bytes)?;
         if bytes.len() <= INLINE_KEY_CAP {
             Ok(Key::store(&bytes))
         } else {
             Ok(Key(Repr::Heap(bytes)))
         }
+    }
+
+    /// Validates and copies raw key bytes — the borrowed counterpart of
+    /// [`Key::new`]. Keys up to [`INLINE_KEY_CAP`] bytes never touch the
+    /// heap, so harvest paths that rebuild keys from table or wire bytes
+    /// stay allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Key::new`].
+    pub fn from_slice(bytes: &[u8]) -> Result<Self, KeyError> {
+        validate(bytes)?;
+        Ok(Key::store(bytes))
     }
 
     /// Wraps bytes the caller has already validated (non-empty, no NUL).
@@ -146,14 +154,7 @@ impl Key {
     /// Same conditions as [`Key::new`].
     #[allow(clippy::should_implement_trait)]
     pub fn from_str(s: &str) -> Result<Self, KeyError> {
-        let b = s.as_bytes();
-        if b.is_empty() {
-            return Err(KeyError::Empty);
-        }
-        if b.contains(&0) {
-            return Err(KeyError::ContainsNul);
-        }
-        Ok(Key::store(b))
+        Key::from_slice(s.as_bytes())
     }
 
     /// Builds a 4-byte key from an integer (useful for synthetic workloads
@@ -240,20 +241,23 @@ impl Key {
     /// Returns [`KeyError`] if the segments decode to an invalid key (all
     /// padding, or an embedded NUL, which cannot come from a valid key).
     pub fn from_segments(segments: &[u32]) -> Result<Self, KeyError> {
-        let mut out = Vec::with_capacity(segments.len() * KPART_BYTES);
-        for seg in segments {
-            out.extend_from_slice(&seg.to_be_bytes());
+        // Unpack on the stack so a switch harvest builds no heap buffer per
+        // key. Sixteen segments is 64 bytes, far wider than any medium
+        // group in use; wider inputs spill to a `Vec`.
+        const STACK_SEGMENTS: usize = 16;
+        let mut stack = [0u8; STACK_SEGMENTS * KPART_BYTES];
+        let mut spill = Vec::new();
+        let buf: &mut [u8] = if segments.len() <= STACK_SEGMENTS {
+            &mut stack[..segments.len() * KPART_BYTES]
+        } else {
+            spill.resize(segments.len() * KPART_BYTES, 0);
+            &mut spill
+        };
+        for (chunk, seg) in buf.chunks_exact_mut(KPART_BYTES).zip(segments) {
+            chunk.copy_from_slice(&seg.to_be_bytes());
         }
-        while out.last() == Some(&0) {
-            out.pop();
-        }
-        if out.is_empty() {
-            return Err(KeyError::Empty);
-        }
-        if out.contains(&0) {
-            return Err(KeyError::ContainsNul);
-        }
-        Ok(Key::store(&out))
+        let len = buf.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        Key::from_slice(&buf[..len])
     }
 
     /// A stable 64-bit hash of the key (FNV-1a), used for subspace
@@ -307,6 +311,17 @@ impl AsRef<[u8]> for Key {
     }
 }
 
+/// The [`Key`] invariants: non-empty, no NUL byte.
+fn validate(bytes: &[u8]) -> Result<(), KeyError> {
+    if bytes.is_empty() {
+        return Err(KeyError::Empty);
+    }
+    if bytes.contains(&0) {
+        return Err(KeyError::ContainsNul);
+    }
+    Ok(())
+}
+
 /// FNV-1a over a byte slice.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -340,6 +355,39 @@ mod tests {
             KeyError::ContainsNul
         );
         assert!(!Key::from_str("ok").unwrap().is_empty());
+    }
+
+    #[test]
+    fn from_slice_validates_exactly_like_new() {
+        let cases: [&[u8]; 7] = [
+            b"",
+            b"\0",
+            b"a\0b",
+            b"trailing\0",
+            b"ok",
+            b"exactly-23-bytes-long!!",
+            b"twenty-four-bytes-long!!",
+        ];
+        for bytes in cases {
+            let owned = Key::new(Bytes::copy_from_slice(bytes));
+            assert_eq!(Key::from_slice(bytes), owned, "{bytes:?}");
+        }
+        assert_eq!(Key::from_slice(b"").unwrap_err(), KeyError::Empty);
+        assert_eq!(Key::from_slice(b"a\0b").unwrap_err(), KeyError::ContainsNul);
+        assert_eq!(Key::from_slice(b"abc").unwrap().as_bytes(), b"abc");
+    }
+
+    #[test]
+    fn from_segments_rejects_padding_and_embedded_nul() {
+        assert_eq!(Key::from_segments(&[]).unwrap_err(), KeyError::Empty);
+        assert_eq!(Key::from_segments(&[0, 0]).unwrap_err(), KeyError::Empty);
+        // A zero byte before the last non-zero one is an embedded NUL.
+        let nul = u32::from_be_bytes([b'a', 0, b'b', 0]);
+        assert_eq!(Key::from_segments(&[nul]).unwrap_err(), KeyError::ContainsNul);
+        // Wider than the stack buffer: spills, still exact.
+        let long = Key::from_str(&"w".repeat(70)).unwrap();
+        let segs: Vec<u32> = (0..long.segments()).map(|i| long.segment(i)).collect();
+        assert_eq!(Key::from_segments(&segs).unwrap(), long);
     }
 
     #[test]
