@@ -16,7 +16,7 @@ use crate::switch::aggregator::Observation;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
 use ask_simnet::time::{SimDuration, SimTime};
-use ask_wire::codec::{decode_envelope_pooled, encode_envelope_parts, Envelope, FLAG_NO_AGGREGATE};
+use ask_wire::codec::{encode_envelope_parts, FLAG_NO_AGGREGATE};
 use ask_wire::pool::PacketPool;
 use ask_wire::constants::PACKET_OVERHEAD;
 use ask_wire::key::Key;
@@ -25,7 +25,6 @@ use ask_wire::packet::{
 };
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 pub use ask_wire::packet::CHANNEL_STRIDE;
 
@@ -196,21 +195,17 @@ pub struct AskDaemon {
     /// `Cell` so the hot send path can add to it while channel state is
     /// mutably borrowed.
     packetize_ns: std::cell::Cell<u64>,
-    /// False on the default zero-materialization receive path; true when
-    /// [`AskConfig::host_scalar`](crate::config::AskConfig) or
-    /// `ASK_HOST_SCALAR=1` forces the legacy materializing path.
-    scalar: bool,
-    /// First-delivery data views awaiting a grouped residual merge (view
-    /// path only). Each deferred view is a refcount on the frame bytes;
+    /// First-delivery data views awaiting a grouped residual merge. Each
+    /// deferred view is a refcount on the frame bytes;
     /// flushing groups consecutive same-task views so task resolution
     /// amortizes over a burst. Always drained before any state that reads
     /// residual tables is touched and at the end of every delivery.
     merge_batch: Vec<DataPacketView>,
-    /// Scratch for batched receive-window observations (view path only),
-    /// kept across bursts to avoid reallocating.
+    /// Scratch for batched receive-window observations, kept across bursts
+    /// to avoid reallocating.
     obs_scratch: Vec<Observation>,
-    /// Parsed views of the burst being handled (view path only); emptied
-    /// after every burst so no frame outlives it, capacity kept.
+    /// Parsed views of the burst being handled; emptied after every burst
+    /// so no frame outlives it, capacity kept.
     burst_views: Vec<(bool, FrameView)>,
 }
 
@@ -221,10 +216,6 @@ impl AskDaemon {
         let packetizer = Packetizer::new(config.layout, config.long_kv_batch);
         let trace = TraceLog::new(config.trace_capacity);
         let backoff = BackoffPolicy::from_config(&config, 0);
-        let scalar = config.host_scalar
-            || std::env::var("ASK_HOST_SCALAR")
-                .map(|v| v != "0")
-                .unwrap_or(false);
         AskDaemon {
             config,
             switch,
@@ -247,7 +238,6 @@ impl AskDaemon {
             backoff,
             time_phases: false,
             packetize_ns: std::cell::Cell::new(0),
-            scalar,
             merge_batch: Vec::new(),
             obs_scratch: Vec::new(),
             burst_views: Vec::new(),
@@ -443,12 +433,6 @@ impl AskDaemon {
     /// The highest switch epoch this daemon has synchronized against.
     pub fn known_epoch(&self) -> u32 {
         self.known_epoch
-    }
-
-    /// True when this daemon receives through the legacy materializing
-    /// (scalar) path instead of the zero-materialization view path.
-    pub fn is_scalar(&self) -> bool {
-        self.scalar
     }
 
     /// True while the daemon is in degraded no-aggregate pass-through mode.
@@ -1031,8 +1015,8 @@ impl AskDaemon {
     }
 
     /// Applies a fetch reply whose entries arrive as `(hash64, key bytes,
-    /// value)` — the one merge both receive paths share, so they cannot
-    /// diverge. Returns false (and does nothing) for a stray or stale reply.
+    /// value)` straight off the frame. Returns false (and does nothing) for
+    /// a stray or stale reply.
     ///
     /// A swap-triggered reply merges into the residual table. The final
     /// reply never touches it: the table drains into the result map,
@@ -1085,20 +1069,6 @@ impl AskDaemon {
             self.begin_final_fetch(task, ctx);
         }
         true
-    }
-
-    fn on_fetch_reply(
-        &mut self,
-        task: TaskId,
-        fetch_seq: u32,
-        entries: Arc<Vec<KvTuple>>,
-        ctx: &mut Context<'_>,
-    ) {
-        let n = entries.len() as u64;
-        let tuples = entries
-            .iter()
-            .map(|t| (t.key.hash64(), t.key.as_bytes(), t.value));
-        self.apply_fetch_reply(task, fetch_seq, n, tuples, ctx);
     }
 
     fn on_fetch_timer(&mut self, task: TaskId, fetch_seq_low: u32, ctx: &mut Context<'_>) {
@@ -1226,177 +1196,7 @@ impl AskDaemon {
     }
 
     // ------------------------------------------------------------------
-    // Scalar (materializing) receive path — the escape hatch, and the
-    // fallback for frames the view path cannot serve.
-    // ------------------------------------------------------------------
-
-    /// The scalar receive path for one decoded envelope: epoch gate, then
-    /// packet dispatch.
-    fn handle_envelope_scalar(&mut self, ecn: bool, envelope: Envelope, ctx: &mut Context<'_>) {
-        let src = envelope.src;
-        // Epoch gate: a newer epoch means the switch restarted — resync
-        // fully before processing this frame; an older epoch is a leftover
-        // of a dead incarnation (late verdict, ACK, or fetch reply computed
-        // against wiped switch state) and must not touch anything.
-        if envelope.epoch != self.known_epoch {
-            if envelope.epoch > self.known_epoch {
-                self.resync_to_epoch(envelope.epoch, ctx);
-            } else {
-                self.stats.stale_epoch_drops += 1;
-                match envelope.packet {
-                    AskPacket::Data(pkt) => self.pool.recycle_slots(pkt.slots),
-                    AskPacket::LongKv { entries, .. } => self.pool.recycle_tuples(entries),
-                    _ => {}
-                }
-                return;
-            }
-        }
-        self.handle_packet_scalar(src, ecn, envelope.packet, ctx);
-    }
-
-    /// Post-epoch-gate handling of one materialized packet. Shared by the
-    /// scalar path and the view path's materializing fallback (long-kv
-    /// bodies, foreign-layout data).
-    fn handle_packet_scalar(
-        &mut self,
-        src: u32,
-        ecn: bool,
-        packet: AskPacket,
-        ctx: &mut Context<'_>,
-    ) {
-        match packet {
-            AskPacket::Ack { channel, seq, ece } => {
-                if self.degraded && src == self.switch.index() as u32 {
-                    // The switch is absorbing again; resume aggregation.
-                    self.degraded = false;
-                }
-                self.on_ack(channel, seq, ece, ctx)
-            }
-            AskPacket::Data(mut pkt) => {
-                self.cpu_busy += self.config.cpu_per_packet;
-                match self.observe(pkt.channel, pkt.seq) {
-                    Observation::Stale => {
-                        self.pool.recycle_slots(pkt.slots);
-                    }
-                    Observation::Duplicate => {
-                        self.stats.duplicates_dropped += 1;
-                        self.trace.record(
-                            ctx.now(),
-                            TraceEvent::DuplicateDropped {
-                                channel: pkt.channel,
-                                seq: pkt.seq,
-                            },
-                        );
-                        self.reply_ack(src, pkt.channel, pkt.seq, ecn, ctx);
-                        self.pool.recycle_slots(pkt.slots);
-                    }
-                    Observation::First => {
-                        self.stats.packets_received += 1;
-                        self.trace.record(
-                            ctx.now(),
-                            TraceEvent::Received {
-                                channel: pkt.channel,
-                                seq: pkt.seq,
-                            },
-                        );
-                        let task = pkt.task;
-                        let mut slots = std::mem::take(&mut pkt.slots);
-                        self.merge_residual(task, slots.drain(..).flatten());
-                        self.pool.recycle_slots(slots);
-                        self.reply_ack(src, pkt.channel, pkt.seq, ecn, ctx);
-                        if let Some(rt) = self.recv_tasks.get_mut(&task) {
-                            rt.packets_since_swap += 1;
-                        }
-                        self.maybe_swap(task, ctx);
-                    }
-                }
-            }
-            AskPacket::LongKv {
-                task,
-                channel,
-                seq,
-                mut entries,
-            } => {
-                self.cpu_busy += self.config.cpu_per_packet;
-                match self.observe(channel, seq) {
-                    Observation::Stale => {
-                        self.pool.recycle_tuples(entries);
-                    }
-                    Observation::Duplicate => {
-                        self.stats.duplicates_dropped += 1;
-                        self.reply_ack(src, channel, seq, ecn, ctx);
-                        self.pool.recycle_tuples(entries);
-                    }
-                    Observation::First => {
-                        self.stats.packets_received += 1;
-                        self.merge_residual(task, entries.drain(..));
-                        self.pool.recycle_tuples(entries);
-                        self.reply_ack(src, channel, seq, ecn, ctx);
-                    }
-                }
-            }
-            AskPacket::Fin { task, channel, seq } => {
-                self.cpu_busy += self.config.cpu_per_packet;
-                match self.observe(channel, seq) {
-                    Observation::Stale => {}
-                    Observation::Duplicate => {
-                        self.reply_ack(src, channel, seq, ecn, ctx);
-                    }
-                    Observation::First => {
-                        let sender_host = channel.host();
-                        self.reply_ack(src, channel, seq, ecn, ctx);
-                        if let Some(rt) = self.recv_tasks.get_mut(&task) {
-                            rt.fins.insert(sender_host);
-                        }
-                        self.check_completion(task, ctx);
-                    }
-                }
-            }
-            AskPacket::FetchReply {
-                task,
-                fetch_seq,
-                entries,
-            } => self.on_fetch_reply(task, fetch_seq, entries, ctx),
-            AskPacket::Control(ControlMsg::RegionGrant { task, .. }) => {
-                self.on_region_reply(task, true, ctx)
-            }
-            AskPacket::Control(ControlMsg::RegionDeny { task }) => {
-                self.on_region_reply(task, false, ctx)
-            }
-            AskPacket::Control(ControlMsg::TaskAnnounce { task, receiver }) => {
-                self.on_announce(task, receiver, ctx)
-            }
-            // The epoch gate already did all the work for a notify.
-            AskPacket::Control(ControlMsg::EpochNotify { .. }) => {}
-            // Packets a daemon never receives (switch-bound kinds).
-            AskPacket::Swap { .. }
-            | AskPacket::FetchRequest { .. }
-            | AskPacket::Control(
-                ControlMsg::RegionRequest { .. } | ControlMsg::RegionRelease { .. },
-            ) => {}
-        }
-    }
-
-    /// The materializing burst path: the whole burst is decoded through the
-    /// pool up front — one pool drain per burst instead of interleaving
-    /// decode with handling — then handled in arrival order. Only
-    /// pool-counter timing differs from per-frame decode; every protocol
-    /// action is identical.
-    fn on_frames_scalar(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
-        let mut decoded: Vec<(bool, Envelope)> = Vec::with_capacity(burst.len());
-        for (_, frame) in burst.drain(..) {
-            let ecn = frame.ecn_marked();
-            if let Ok(env) = decode_envelope_pooled(frame.into_payload(), &mut self.pool) {
-                decoded.push((ecn, env));
-            }
-        }
-        for (ecn, env) in decoded {
-            self.handle_envelope_scalar(ecn, env, ctx);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Zero-materialization receive path (the default).
+    // Receive path.
     //
     // Inbound frames parse once into borrowed `FrameView`s; matching-layout
     // data packets and fetch replies are consumed straight from the wire
@@ -1405,13 +1205,15 @@ impl AskDaemon {
     // operators are commutative and the merges emit nothing, so deferral
     // cannot change a single sent byte. Everything that reads residual
     // state (fins, fetch replies, control, epoch resync, fallbacks)
-    // flushes the batch first.
+    // flushes the batch first. Long-kv bodies and foreign-layout data are
+    // the only frames materialized (`ingest_materialized`).
     // ------------------------------------------------------------------
 
-    /// Epoch gate for a parsed view; `false` means drop the frame. Mirrors
-    /// the scalar gate; a newer epoch flushes deferred merges before the
-    /// resync wipes the tables they target, and a stale frame has no
-    /// materialized body to recycle.
+    /// Epoch gate for a parsed view; `false` means drop the frame. A newer
+    /// epoch means the switch restarted: deferred merges flush, then the
+    /// daemon resyncs fully before processing this frame. An older epoch is
+    /// a leftover of a dead incarnation (late verdict, ACK, or fetch reply
+    /// computed against wiped switch state) and must not touch anything.
     fn admit_view(&mut self, view: &FrameView, ctx: &mut Context<'_>) -> bool {
         if view.epoch() == self.known_epoch {
             return true;
@@ -1474,8 +1276,8 @@ impl AskDaemon {
 
     /// Applies every deferred first-delivery data view to its task's
     /// residual table, resolving each task once per consecutive same-task
-    /// run. Counter and CPU totals match the scalar path exactly; only the
-    /// (unobservable) merge timing moves.
+    /// run. Counter and CPU totals match merging each frame on arrival;
+    /// only the (unobservable) merge timing moves.
     fn flush_merge_batch(&mut self) {
         if self.merge_batch.is_empty() {
             return;
@@ -1550,27 +1352,13 @@ impl AskDaemon {
                 }
                 self.on_ack(*channel, *seq, *ece, ctx)
             }
-            PacketView::Data(d) => {
-                if d.matches_layout(&self.config.layout) {
-                    self.cpu_busy += self.config.cpu_per_packet;
-                    let obs = self.observe(d.channel(), d.seq());
-                    self.data_view_action(src, ecn, d, obs, ctx);
-                } else {
-                    // Foreign layout: materialize through the pool and take
-                    // the scalar data arm.
-                    self.flush_merge_batch();
-                    self.stats.host_view_fallbacks += 1;
-                    let envelope = view.materialize_pooled(&mut self.pool);
-                    self.handle_packet_scalar(src, ecn, envelope.packet, ctx);
-                }
+            PacketView::Data(d) if d.matches_layout(&self.config.layout) => {
+                self.cpu_busy += self.config.cpu_per_packet;
+                let obs = self.observe(d.channel(), d.seq());
+                self.data_view_action(src, ecn, d, obs, ctx);
             }
-            PacketView::LongKv { .. } => {
-                // Long-key bypass bodies merge as owned tuples; materialize
-                // through the pool and take the scalar long-kv arm.
-                self.flush_merge_batch();
-                self.stats.host_view_fallbacks += 1;
-                let envelope = view.materialize_pooled(&mut self.pool);
-                self.handle_packet_scalar(src, ecn, envelope.packet, ctx);
+            PacketView::Data(_) | PacketView::LongKv { .. } => {
+                self.ingest_materialized(ecn, view, ctx)
             }
             PacketView::Fin { task, channel, seq } => {
                 self.flush_merge_batch();
@@ -1622,6 +1410,77 @@ impl AskDaemon {
         }
     }
 
+    /// The fallback for the two kinds the view path cannot merge in place:
+    /// data in a foreign slot layout and long-kv bypass bodies, whose keys
+    /// the residual table must own. The frame is built through the pool
+    /// (reusing the parse's validation) and merged as owned tuples.
+    fn ingest_materialized(&mut self, ecn: bool, view: &FrameView, ctx: &mut Context<'_>) {
+        self.flush_merge_batch();
+        self.stats.host_view_fallbacks += 1;
+        self.cpu_busy += self.config.cpu_per_packet;
+        let src = view.src();
+        match view.materialize_pooled(&mut self.pool).packet {
+            AskPacket::Data(mut pkt) => match self.observe(pkt.channel, pkt.seq) {
+                Observation::Stale => {
+                    self.pool.recycle_slots(pkt.slots);
+                }
+                Observation::Duplicate => {
+                    self.stats.duplicates_dropped += 1;
+                    self.trace.record(
+                        ctx.now(),
+                        TraceEvent::DuplicateDropped {
+                            channel: pkt.channel,
+                            seq: pkt.seq,
+                        },
+                    );
+                    self.reply_ack(src, pkt.channel, pkt.seq, ecn, ctx);
+                    self.pool.recycle_slots(pkt.slots);
+                }
+                Observation::First => {
+                    self.stats.packets_received += 1;
+                    self.trace.record(
+                        ctx.now(),
+                        TraceEvent::Received {
+                            channel: pkt.channel,
+                            seq: pkt.seq,
+                        },
+                    );
+                    let task = pkt.task;
+                    let mut slots = std::mem::take(&mut pkt.slots);
+                    self.merge_residual(task, slots.drain(..).flatten());
+                    self.pool.recycle_slots(slots);
+                    self.reply_ack(src, pkt.channel, pkt.seq, ecn, ctx);
+                    if let Some(rt) = self.recv_tasks.get_mut(&task) {
+                        rt.packets_since_swap += 1;
+                    }
+                    self.maybe_swap(task, ctx);
+                }
+            },
+            AskPacket::LongKv {
+                task,
+                channel,
+                seq,
+                mut entries,
+            } => match self.observe(channel, seq) {
+                Observation::Stale => {
+                    self.pool.recycle_tuples(entries);
+                }
+                Observation::Duplicate => {
+                    self.stats.duplicates_dropped += 1;
+                    self.reply_ack(src, channel, seq, ecn, ctx);
+                    self.pool.recycle_tuples(entries);
+                }
+                Observation::First => {
+                    self.stats.packets_received += 1;
+                    self.merge_residual(task, entries.drain(..));
+                    self.pool.recycle_tuples(entries);
+                    self.reply_ack(src, channel, seq, ecn, ctx);
+                }
+            },
+            _ => unreachable!("only data and long-kv frames are materialized"),
+        }
+    }
+
     /// Ingests a run of same-channel, matching-layout data views from one
     /// burst: the receive window resolves once for the whole run, every
     /// sequence number is observed into the reusable scratch buffer,
@@ -1657,9 +1516,9 @@ impl AskDaemon {
         self.obs_scratch = obs;
     }
 
-    /// The zero-materialization burst path: the burst parses once into
-    /// borrowed views, consecutive same-channel data frames ingest as runs,
-    /// and the deferred merge batch drains exactly once at the end.
+    /// The burst receive path: the burst parses once into borrowed views,
+    /// consecutive same-channel data frames ingest as runs, and the
+    /// deferred merge batch drains exactly once at the end.
     fn on_frames_view(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
         let mut frames = std::mem::take(&mut self.burst_views);
         for (_, frame) in burst.drain(..) {
@@ -1719,28 +1578,17 @@ impl Node for AskDaemon {
     fn on_frame(&mut self, _from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
         self.ensure_init(ctx);
         let ecn = frame.ecn_marked();
-        if self.scalar {
-            let Ok(envelope) = decode_envelope_pooled(frame.into_payload(), &mut self.pool) else {
-                return;
-            };
-            self.handle_envelope_scalar(ecn, envelope, ctx);
-        } else {
-            let Ok(view) = FrameView::parse(frame.into_payload()) else {
-                return;
-            };
-            self.on_frame_view(ecn, &view, ctx);
-            self.flush_merge_batch();
-        }
+        let Ok(view) = FrameView::parse(frame.into_payload()) else {
+            return;
+        };
+        self.on_frame_view(ecn, &view, ctx);
+        self.flush_merge_batch();
     }
 
     fn on_frames(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
         self.ensure_init(ctx);
         self.stats.burst_len[burst_bucket(burst.len() as u64)] += 1;
-        if self.scalar {
-            self.on_frames_scalar(burst, ctx);
-        } else {
-            self.on_frames_view(burst, ctx);
-        }
+        self.on_frames_view(burst, ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
@@ -1796,8 +1644,7 @@ mod tests {
     #[test]
     fn completion_frees_the_residual_table_and_late_duplicates_still_ack() {
         use crate::service::{reference_aggregate, AskServiceBuilder};
-        use ask_wire::codec::encode_envelope;
-        use ask_wire::packet::DataPacket;
+        use ask_wire::codec::{encode_envelope, Envelope};
 
         let cfg = AskConfig::tiny();
         let layout = cfg.layout;

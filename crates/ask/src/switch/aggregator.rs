@@ -672,7 +672,7 @@ impl AggregatorEngine {
     /// engine's [`PacketPool`].
     pub fn process_data(&mut self, pkt: DataPacket) -> DataVerdict {
         let ent = self.dispatch_entry(pkt.channel, pkt.task);
-        self.process_resolved(ent, pkt)
+        self.process_resolved(ent, pkt, true)
     }
 
     /// [`AggregatorEngine::process_data`] for a packet flagged no-aggregate
@@ -683,78 +683,29 @@ impl AggregatorEngine {
     /// arrays entirely and forward every tuple.
     pub fn process_data_no_aggregate(&mut self, pkt: DataPacket) -> DataVerdict {
         let ent = self.dispatch_entry(pkt.channel, pkt.task);
-        self.process_resolved_ex(ent, pkt, false)
+        self.process_resolved(ent, pkt, false)
     }
 
-    /// Processes a burst of data packets, returning one verdict per packet
-    /// in input order (appended to `verdicts`).
+    /// Processes a burst of borrowed data-packet views, appending one
+    /// verdict per view to `verdicts` in input order: phase 1 pre-hashes
+    /// every slot key in the burst into the SoA lanes, phase 2 replays each
+    /// packet's lane range through its own pipeline pass.
     ///
     /// Equivalent to calling [`AggregatorEngine::process_data`] on each
-    /// packet in order — every verdict, protocol counter, and register state
-    /// is identical (proptest-pinned) — but consecutive packets of the same
-    /// `(channel, task)` group resolve the dispatch entry once for the whole
-    /// run instead of re-probing the cache per packet. Each packet still
-    /// executes its own pipeline pass: a pass models one PISA traversal, and
-    /// two packets sharing a pass would trip same-register access conflicts
-    /// that sequential processing does not have.
+    /// materialized packet in order — every verdict, protocol counter,
+    /// register state, and pass/violation count is identical
+    /// (proptest-pinned) — but aggregation reads keys and values straight
+    /// from the frame bytes, a partial absorb comes back as a residual
+    /// bitmap instead of a rewritten packet, and the packet pool is never
+    /// touched. Consecutive packets of the same `(channel, task)` resolve
+    /// the dispatch entry once per run. Each packet still executes its own
+    /// pipeline pass: a pass models one PISA traversal, and two packets
+    /// sharing a pass would trip same-register access conflicts that
+    /// sequential processing does not have.
     ///
     /// The only observable difference is the purely observational
-    /// `burst_len` histogram in [`SwitchTaskStats`], which records one entry
-    /// per same-`(channel, task)` run.
-    pub fn process_batch(
-        &mut self,
-        batch: impl IntoIterator<Item = DataPacket>,
-        verdicts: &mut Vec<DataVerdict>,
-    ) {
-        let mut cur: Option<DispatchEntry> = None;
-        let mut group_len: u64 = 0;
-        for pkt in batch {
-            let ent = match cur {
-                // The data path never touches the control plane, so a
-                // resolved entry stays valid for the rest of the batch.
-                Some(e) if e.channel == pkt.channel && e.task == pkt.task => {
-                    group_len += 1;
-                    e
-                }
-                _ => {
-                    if let Some(prev) = cur {
-                        self.note_burst(prev.task_slot, group_len);
-                    }
-                    group_len = 1;
-                    let e = self.dispatch_entry(pkt.channel, pkt.task);
-                    cur = Some(e);
-                    e
-                }
-            };
-            verdicts.push(self.process_resolved(ent, pkt));
-        }
-        if let Some(prev) = cur {
-            self.note_burst(prev.task_slot, group_len);
-        }
-    }
-
-    /// [`AggregatorEngine::process_data`] over a borrowed view: same
-    /// pipeline program, same verdict and counters, but aggregation reads
-    /// keys and values straight from the frame bytes and the partial-absorb
-    /// outcome is a residual bitmap instead of a rewritten packet. Never
-    /// touches the packet pool.
-    pub fn process_data_view(&mut self, view: &DataPacketView) -> ViewVerdict {
-        let ent = self.dispatch_entry(view.channel(), view.task());
-        let mut lanes = std::mem::take(&mut self.view_lanes);
-        lanes.fill(std::slice::from_ref(view));
-        let v = self.process_resolved_view(ent, view, &lanes, 0);
-        self.view_lanes = lanes;
-        v
-    }
-
-    /// [`AggregatorEngine::process_batch`] over borrowed views: phase 1
-    /// pre-hashes every slot key in the burst into the SoA lanes, phase 2
-    /// replays each packet's lane range through its own pipeline pass.
-    /// Verdicts, counters (including the burst histogram), register state,
-    /// and pass/violation accounting are identical to feeding the
-    /// materialized packets through [`AggregatorEngine::process_batch`]
-    /// (proptest-pinned); one verdict per view is appended to `verdicts` in
-    /// input order.
+    /// `burst_len` histogram in [`SwitchTaskStats`], which records one
+    /// entry per same-`(channel, task)` run.
     pub fn process_batch_views(
         &mut self,
         views: &[DataPacketView],
@@ -789,9 +740,10 @@ impl AggregatorEngine {
     }
 
     /// The pipeline program for one viewed packet — branch for branch the
-    /// same as [`process_resolved_ex`](Self::process_resolved_ex) with
+    /// same as [`process_resolved`](Self::process_resolved) with
     /// aggregation on, so pass counts, register access order, and degraded
-    /// (violation) behavior are indistinguishable from the scalar path.
+    /// (violation) behavior are indistinguishable from the materializing
+    /// pass.
     #[allow(clippy::drop_non_drop)]
     fn process_resolved_view(
         &mut self,
@@ -1019,11 +971,6 @@ impl AggregatorEngine {
         }
     }
 
-    /// The pipeline program for one packet, after dispatch resolution.
-    fn process_resolved(&mut self, ent: DispatchEntry, pkt: DataPacket) -> DataVerdict {
-        self.process_resolved_ex(ent, pkt, true)
-    }
-
     /// The pipeline program for one packet, after dispatch resolution;
     /// `aggregate: false` is the degraded no-aggregate variant (dedup and
     /// `PktState` still run, aggregator arrays are skipped).
@@ -1031,7 +978,7 @@ impl AggregatorEngine {
     // borrow) before control-plane state is updated; the lint misreads
     // that as a no-op.
     #[allow(clippy::drop_non_drop)]
-    fn process_resolved_ex(
+    fn process_resolved(
         &mut self,
         ent: DispatchEntry,
         mut pkt: DataPacket,
@@ -1914,15 +1861,24 @@ mod tests {
         e.pool_mut().recycle_slots(v);
     }
 
-    #[test]
-    fn batch_verdicts_and_stats_match_sequential() {
-        use crate::stats::BURST_BUCKETS;
-        let mk = || {
-            let mut e = engine();
-            e.register_task(TaskId(1), 9).unwrap();
-            e
-        };
-        // Channel-interleaved runs with a duplicate and a stale mixed in.
+    /// Parses `p` exactly as it arrives on the wire.
+    fn view_of(p: &DataPacket) -> DataPacketView {
+        use ask_wire::codec::encode_envelope_parts;
+        use ask_wire::packet::AskPacket;
+        use ask_wire::view::{FrameView, PacketView};
+        let layout = AskConfig::tiny().layout;
+        let bytes = encode_envelope_parts(1, 0, 0, 0, &AskPacket::Data(p.clone()), &layout);
+        match FrameView::parse(bytes).unwrap().into_packet() {
+            PacketView::Data(d) => d,
+            _ => unreachable!("data frames parse to data views"),
+        }
+    }
+
+    /// Channel-interleaved runs with a duplicate, an unknown task and a
+    /// stale arrival mixed in, against an engine with task 1 registered.
+    fn mixed_burst() -> (AggregatorEngine, Vec<DataPacket>) {
+        let mut e = engine();
+        e.register_task(TaskId(1), 9).unwrap();
         let mut packets: Vec<DataPacket> = Vec::new();
         for seq in 0..6u64 {
             packets.push(pkt(1, 0, seq, &[(0, "cat", 1), (4, "maples", 2)]));
@@ -1932,16 +1888,34 @@ mod tests {
         }
         packets.push(pkt(1, 0, 2, &[(0, "cat", 1), (4, "maples", 2)])); // dup
         packets.push(pkt(42, 2, 0, &[(0, "eel", 9)])); // unknown task
-        let mut seq_e = mk();
+        packets.push(pkt(1, 0, 0, &[(0, "cat", 1)])); // stale once seqs advance
+        (e, packets)
+    }
+
+    #[test]
+    fn batch_verdicts_and_stats_match_sequential() {
+        use crate::stats::BURST_BUCKETS;
+        let (mut seq_e, packets) = mixed_burst();
         let seq_verdicts: Vec<DataVerdict> = packets
             .iter()
             .cloned()
             .map(|p| seq_e.process_data(p))
             .collect();
-        let mut bat_e = mk();
+        let (mut bat_e, _) = mixed_burst();
+        let views: Vec<DataPacketView> = packets.iter().map(view_of).collect();
         let mut bat_verdicts = Vec::new();
-        bat_e.process_batch(packets, &mut bat_verdicts);
-        assert_eq!(seq_verdicts, bat_verdicts);
+        bat_e.process_batch_views(&views, &mut bat_verdicts);
+        assert_eq!(seq_verdicts.len(), bat_verdicts.len());
+        for (s, v) in seq_verdicts.iter().zip(&bat_verdicts) {
+            match (s, v) {
+                (DataVerdict::Stale, ViewVerdict::Stale) => {}
+                (DataVerdict::FullyAggregated, ViewVerdict::FullyAggregated) => {}
+                (DataVerdict::Forward(p), ViewVerdict::Forward { residual }) => {
+                    assert_eq!(p.bitmap(), *residual);
+                }
+                other => panic!("verdicts diverge: {other:?}"),
+            }
+        }
         let mut a = seq_e.task_stats(TaskId(1)).unwrap();
         let mut b = bat_e.task_stats(TaskId(1)).unwrap();
         // burst_len is the documented observational exception.
@@ -1958,11 +1932,11 @@ mod tests {
     fn batch_records_burst_histogram() {
         let mut e = engine();
         e.register_task(TaskId(1), 9).unwrap();
-        let packets: Vec<DataPacket> = (0..4u64)
-            .map(|seq| pkt(1, 0, seq, &[(0, "cat", 1)]))
+        let views: Vec<DataPacketView> = (0..4u64)
+            .map(|seq| view_of(&pkt(1, 0, seq, &[(0, "cat", 1)])))
             .collect();
         let mut verdicts = Vec::new();
-        e.process_batch(packets, &mut verdicts);
+        e.process_batch_views(&views, &mut verdicts);
         let s = e.task_stats(TaskId(1)).unwrap();
         assert_eq!(s.burst_len[crate::stats::burst_bucket(4)], 1);
         // Sequential processing records nothing.
@@ -1971,69 +1945,41 @@ mod tests {
         assert_eq!(s2.burst_len.iter().sum::<u64>(), 1);
     }
 
+    /// The view batch against the materializing `process_data` reference
+    /// at the level below verdicts: every partial absorb re-frames to the
+    /// exact bytes of re-encoding the reference's residual packet, the
+    /// pipeline runs the same passes with the same violations, and the
+    /// view engine never touches its pool.
     #[test]
     fn view_batch_matches_scalar_batch() {
         use ask_wire::codec::encode_envelope_parts;
         use ask_wire::packet::AskPacket;
-        use ask_wire::view::{FrameView, PacketView};
         let layout = AskConfig::tiny().layout;
-        let view_of = |p: &DataPacket| -> DataPacketView {
-            let bytes = encode_envelope_parts(1, 0, 0, 0, &AskPacket::Data(p.clone()), &layout);
-            match FrameView::parse(bytes).unwrap().into_packet() {
-                PacketView::Data(d) => d,
-                _ => unreachable!("data frames parse to data views"),
-            }
-        };
-        let mk = || {
-            let mut e = engine();
-            e.register_task(TaskId(1), 9).unwrap();
-            e
-        };
-        let mut packets: Vec<DataPacket> = Vec::new();
-        for seq in 0..6u64 {
-            packets.push(pkt(1, 0, seq, &[(0, "cat", 1), (4, "maples", 2)]));
-        }
-        for seq in 0..4u64 {
-            packets.push(pkt(1, 1, seq, &[(1, "dog", 3)]));
-        }
-        packets.push(pkt(1, 0, 2, &[(0, "cat", 1), (4, "maples", 2)])); // dup
-        packets.push(pkt(42, 2, 0, &[(0, "eel", 9)])); // unknown task
-        packets.push(pkt(1, 0, 0, &[(0, "cat", 1)])); // stale once seqs advance
-
-        let views: Vec<DataPacketView> = packets.iter().map(&view_of).collect();
-        let mut scalar_e = mk();
-        let mut scalar_verdicts = Vec::new();
-        scalar_e.process_batch(packets.clone(), &mut scalar_verdicts);
-        let mut view_e = mk();
+        let (mut seq_e, packets) = mixed_burst();
+        let (mut view_e, _) = mixed_burst();
+        let views: Vec<DataPacketView> = packets.iter().map(view_of).collect();
         let mut view_verdicts = Vec::new();
         view_e.process_batch_views(&views, &mut view_verdicts);
-
-        assert_eq!(scalar_verdicts.len(), view_verdicts.len());
-        for (s, v) in scalar_verdicts.iter().zip(&view_verdicts) {
-            match (s, v) {
-                (DataVerdict::Stale, ViewVerdict::Stale) => {}
-                (DataVerdict::FullyAggregated, ViewVerdict::FullyAggregated) => {}
-                (DataVerdict::Forward(p), ViewVerdict::Forward { residual }) => {
-                    assert_eq!(p.bitmap(), *residual);
-                }
-                other => panic!("verdicts diverge: {other:?}"),
+        let mut partial = 0;
+        for ((p, view), v) in packets.iter().zip(&views).zip(&view_verdicts) {
+            let reference = seq_e.process_data(p.clone());
+            if let (DataVerdict::Forward(r), ViewVerdict::Forward { residual }) = (reference, v) {
+                let want = encode_envelope_parts(1, 0, 0, 0, &AskPacket::Data(r), &layout);
+                assert_eq!(view.residual_frame(*residual), want);
+                partial += 1;
             }
         }
+        assert!(partial > 0, "the burst exercises residual forwards");
+        assert_eq!(seq_e.passes_executed(), view_e.passes_executed());
         assert_eq!(
-            scalar_e.task_stats(TaskId(1)).unwrap(),
-            view_e.task_stats(TaskId(1)).unwrap(),
-            "counters (including burst histogram) must match"
-        );
-        assert_eq!(scalar_e.passes_executed(), view_e.passes_executed());
-        assert_eq!(
-            scalar_e.constraint_violations(),
+            seq_e.constraint_violations(),
             view_e.constraint_violations()
         );
         assert_eq!(
-            scalar_e.fetch(TaskId(1), FetchScope::All, 1),
-            view_e.fetch(TaskId(1), FetchScope::All, 1)
+            view_e.pool().retained(),
+            0,
+            "the view batch never touches the pool"
         );
-        assert_eq!(view_e.pool().retained(), 0, "view path never touches the pool");
     }
 
     #[test]

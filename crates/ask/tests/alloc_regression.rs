@@ -1,18 +1,24 @@
-//! Exact allocation counts on the task-completion path.
+//! Exact allocation counts on the task-completion and long-key paths.
 //!
-//! The switch harvest (`AggregatorEngine::fetch`) and the receiver's final
-//! merge (drain the residual `TaskTable`, fold the fetched entries in) must
-//! allocate a fixed number of times per call, whatever the number of keys.
-//! Each check runs the same path at 64 and at 4096 keys and demands equal
-//! counts, so a single per-key allocation creeping back fails exactly,
-//! with no wall-clock threshold involved.
+//! The switch harvest (`AggregatorEngine::fetch`), the receiver's final
+//! merge (drain the residual `TaskTable`, fold the fetched entries in) and
+//! the materialization of a long-kv frame must allocate a fixed number of
+//! times per call, whatever the number of keys. Each check runs the same
+//! path at a small and a large key count and demands equal counts, so a
+//! single per-key allocation creeping back fails exactly, with no
+//! wall-clock threshold involved.
 
 use ask::config::AskConfig;
 use ask::host::table::fold_entry;
 use ask::host::{Packetizer, TaskTable};
 use ask::switch::AggregatorEngine;
-use ask_wire::key::Key;
-use ask_wire::packet::{AggregateOp, ChannelId, DataPacket, FetchScope, KvTuple, SeqNo, TaskId};
+use ask_wire::codec::encode_envelope_parts;
+use ask_wire::key::{Key, INLINE_KEY_CAP};
+use ask_wire::packet::{
+    AggregateOp, AskPacket, ChannelId, DataPacket, FetchScope, KvTuple, SeqNo, TaskId,
+};
+use ask_wire::pool::PacketPool;
+use ask_wire::view::FrameView;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -116,6 +122,49 @@ fn completion_allocs(n: usize) -> (u64, usize) {
     });
     assert_eq!(table.capacity(), 0, "the drained table holds no memory");
     (allocs, result.len())
+}
+
+/// Parses a long-kv frame of `n` entries whose keys are all longer than
+/// [`INLINE_KEY_CAP`], then counts the allocations of materializing it
+/// through a pool — the host's long-kv fallback.
+fn long_kv_materialize_allocs(n: usize) -> (u64, usize) {
+    let layout = AskConfig::paper_default().layout;
+    let entries: Vec<KvTuple> = (0..n)
+        .map(|i| {
+            KvTuple::new(
+                Key::from_str(&format!("a-long-bypass-key-{i:08}")).unwrap(),
+                1,
+            )
+        })
+        .collect();
+    assert!(entries.iter().all(|t| t.key.len() > INLINE_KEY_CAP));
+    let packet = AskPacket::LongKv {
+        task: TaskId(1),
+        channel: ChannelId(0),
+        seq: SeqNo(0),
+        entries,
+    };
+    let view = FrameView::parse(encode_envelope_parts(1, 2, 0, 0, &packet, &layout))
+        .expect("encoder output parses");
+    let mut pool = PacketPool::new();
+    let (allocs, env) = allocs_during(|| view.materialize_pooled(&mut pool));
+    assert_eq!(env.packet, packet);
+    let AskPacket::LongKv { entries, .. } = env.packet else {
+        unreachable!("long-kv frames materialize as long-kv packets");
+    };
+    (allocs, entries.len())
+}
+
+#[test]
+fn long_kv_materialize_allocations_do_not_scale_with_keys() {
+    long_kv_materialize_allocs(64); // warm-up: first-use lazy statics
+    let (small, small_len) = long_kv_materialize_allocs(64);
+    let (large, large_len) = long_kv_materialize_allocs(1024);
+    assert_eq!((small_len, large_len), (64, 1024));
+    assert_eq!(
+        small, large,
+        "long-kv materialize allocations at 64 vs 1024 keys"
+    );
 }
 
 #[test]

@@ -1,7 +1,6 @@
-//! Host daemon receive-path ablation: the zero-materialization view ingest
-//! (parse → borrowed slot views → open-addressed task-table merges) vs the
-//! legacy materializing path (decode into pooled slot vectors → per-tuple
-//! HashMap merges), at delivery-burst sizes 1, 8, and 64.
+//! Host daemon receive path: the zero-materialization view ingest (parse →
+//! borrowed slot views → open-addressed task-table merges) at
+//! delivery-burst sizes 1, 8, and 64.
 //!
 //! Each daemon lives in a minimal two-node simnet (daemon + a frame sink
 //! standing in for the switch) so the timed region is exactly what the
@@ -35,9 +34,8 @@ struct Harness {
 
 /// Builds a daemon wired to a sink, with one receive task denied switch
 /// memory (host-only residual merges; no swap/fetch machinery in the loop).
-fn harness(host_scalar: bool) -> Harness {
+fn harness() -> Harness {
     let mut cfg = AskConfig::paper_default();
-    cfg.host_scalar = host_scalar;
     cfg.swap_threshold = 0;
     let layout = cfg.layout;
     let mut b = NetworkBuilder::new(1);
@@ -76,49 +74,45 @@ fn bench_host_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("host_ingest");
     for n in [1usize, 8, 64] {
         group.throughput(Throughput::Elements(n as u64));
-        for (name, host_scalar) in [("view", false), ("materializing", true)] {
-            let h = harness(host_scalar);
-            let src = h.sink.index() as u32;
-            let dst = h.daemon.index() as u32;
-            let mut seq = 0u64;
-            let mut ix = 0usize;
-            let build = |seq: &mut u64, ix: &mut usize| -> Vec<(NodeId, Frame)> {
-                (0..n)
-                    .map(|_| {
-                        let p = AskPacket::Data(DataPacket {
-                            task: TaskId(1),
-                            channel: ChannelId(0),
-                            seq: SeqNo(*seq),
-                            slots: slots[*ix % slots.len()].clone(),
-                        });
-                        *seq += 1;
-                        *ix += 1;
-                        let bytes: Bytes = encode_envelope_parts(src, dst, 0, 0, &p, &h.layout);
-                        (h.sink, Frame::new(bytes))
-                    })
-                    .collect()
-            };
-            group.bench_function(&format!("{name}_burst{n}"), |b| {
-                b.iter_batched(
-                    || {
-                        // Drain the ACKs queued by the previous iteration
-                        // so the event heap stays bounded, outside the
-                        // timing (PerIteration: setup runs before every
-                        // timed call, not once per batch).
-                        h.net.borrow_mut().run_to_idle();
-                        build(&mut seq, &mut ix)
-                    },
-                    |mut burst| {
-                        h.net
-                            .borrow_mut()
-                            .with_node::<AskDaemon, _>(h.daemon, |d, ctx| {
-                                d.on_frames(&mut burst, ctx)
-                            });
-                    },
-                    BatchSize::PerIteration,
-                );
-            });
-        }
+        let h = harness();
+        let src = h.sink.index() as u32;
+        let dst = h.daemon.index() as u32;
+        let mut seq = 0u64;
+        let mut ix = 0usize;
+        let build = |seq: &mut u64, ix: &mut usize| -> Vec<(NodeId, Frame)> {
+            (0..n)
+                .map(|_| {
+                    let p = AskPacket::Data(DataPacket {
+                        task: TaskId(1),
+                        channel: ChannelId(0),
+                        seq: SeqNo(*seq),
+                        slots: slots[*ix % slots.len()].clone(),
+                    });
+                    *seq += 1;
+                    *ix += 1;
+                    let bytes: Bytes = encode_envelope_parts(src, dst, 0, 0, &p, &h.layout);
+                    (h.sink, Frame::new(bytes))
+                })
+                .collect()
+        };
+        group.bench_function(&format!("view_burst{n}"), |b| {
+            b.iter_batched(
+                || {
+                    // Drain the ACKs queued by the previous iteration
+                    // so the event heap stays bounded, outside the
+                    // timing (PerIteration: setup runs before every
+                    // timed call, not once per batch).
+                    h.net.borrow_mut().run_to_idle();
+                    build(&mut seq, &mut ix)
+                },
+                |mut burst| {
+                    h.net
+                        .borrow_mut()
+                        .with_node::<AskDaemon, _>(h.daemon, |d, ctx| d.on_frames(&mut burst, ctx));
+                },
+                BatchSize::PerIteration,
+            );
+        });
     }
     group.finish();
 }

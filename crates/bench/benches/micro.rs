@@ -148,20 +148,18 @@ fn bench_aggregator_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Burst ingest ablation: the zero-materialization view path (parse →
-/// columnar pre-hash → per-lane aggregation) vs the materializing path
-/// (decode into pooled slot vectors → per-slot aggregation), at burst
-/// sizes 1, 8, and 64. Frame encoding happens in the untimed setup; the
-/// timed region is exactly what the switch does per delivery burst.
+/// Switch burst ingest: parse → columnar pre-hash → per-lane aggregation,
+/// at burst sizes 1, 8, and 64. Frame encoding happens in the untimed
+/// setup; the timed region is exactly what the switch does per delivery
+/// burst.
 fn bench_batch_view_ingest(c: &mut Criterion) {
-    use ask::switch::{DataVerdict, ViewVerdict};
-    use ask_wire::codec::{decode_envelope_pooled, encode_envelope_parts};
+    use ask::switch::ViewVerdict;
+    use ask_wire::codec::encode_envelope_parts;
     use ask_wire::view::{DataPacketView, FrameView, PacketView};
     use bytes::Bytes;
 
     let layout = PacketLayout::paper_default();
     let (mut view_engine, packetizer) = engine_with(layout);
-    let (mut mat_engine, _) = engine_with(layout);
     let slots = payloads(&packetizer, 96_000);
     let mut group = c.benchmark_group("batch_view_ingest");
     for n in [1usize, 8, 64] {
@@ -198,33 +196,6 @@ fn bench_batch_view_ingest(c: &mut Criterion) {
                     }
                     view_verdicts.clear();
                     view_engine.process_batch_views(&views, &mut view_verdicts);
-                },
-                BatchSize::SmallInput,
-            );
-        });
-        let mut seq2 = 0u64;
-        let mut ix2 = 0usize;
-        let mut pkts: Vec<DataPacket> = Vec::new();
-        let mut verdicts: Vec<DataVerdict> = Vec::new();
-        group.bench_function(&format!("materializing_burst{n}"), |b| {
-            b.iter_batched(
-                || build(&mut seq2, &mut ix2),
-                |frames| {
-                    pkts.clear();
-                    for f in frames {
-                        let env =
-                            decode_envelope_pooled(f, mat_engine.pool_mut()).expect("valid frame");
-                        if let AskPacket::Data(p) = env.packet {
-                            pkts.push(p);
-                        }
-                    }
-                    verdicts.clear();
-                    mat_engine.process_batch(pkts.drain(..), &mut verdicts);
-                    for v in verdicts.drain(..) {
-                        if let DataVerdict::Forward(p) = v {
-                            mat_engine.pool_mut().recycle_slots(p.slots);
-                        }
-                    }
                 },
                 BatchSize::SmallInput,
             );

@@ -9,9 +9,11 @@
 
 use ask::prelude::*;
 use ask_simnet::bench_api::BenchEventQueue;
-use ask_wire::packet::{ChannelId, DataPacket, KvTuple, SeqNo, TaskId};
+use ask_wire::codec::encode_envelope_parts;
+use ask_wire::packet::{AskPacket, ChannelId, DataPacket, KvTuple, SeqNo, TaskId};
+use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use ask_workloads::text::uniform_stream;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 /// Steady-state push+pop through the timer wheel with the simulator's
 /// event-time mix: ~95% of events land within a few microseconds of *now*
@@ -56,41 +58,60 @@ fn bench_event_queue_push_pop(c: &mut Criterion) {
     group.finish();
 }
 
+/// The packet payloads both engine benches replay.
+fn payloads() -> Vec<Vec<Option<KvTuple>>> {
+    Packetizer::new(AskConfig::paper_default().layout, 64)
+        .packetize(uniform_stream(5, 6_000, 24_000))
+        .data_payloads
+}
+
+/// `slots` as the switch engine sees them: encoded on channel 0 at `seq`,
+/// then parsed into a borrowed view.
+fn data_view(slots: &[Option<KvTuple>], seq: u64) -> DataPacketView {
+    let layout = AskConfig::paper_default().layout;
+    let p = AskPacket::Data(DataPacket {
+        task: TaskId(1),
+        channel: ChannelId(0),
+        seq: SeqNo(seq),
+        slots: slots.to_vec(),
+    });
+    match FrameView::parse(encode_envelope_parts(1, 0, 0, 0, &p, &layout))
+        .expect("valid frame")
+        .into_packet()
+    {
+        PacketView::Data(d) => d,
+        _ => unreachable!("data frames parse to data views"),
+    }
+}
+
 /// One full data-packet pass through the switch with a warm dispatch
 /// cache: a single registered task on a single channel, so after the first
 /// packet every lookup hits the cached line (generation check + direct
-/// index) instead of the two-map slow path.
+/// index) instead of the two-map slow path. Frame encode and parse happen
+/// in the untimed setup.
 fn bench_switch_dispatch(c: &mut Criterion) {
-    let cfg = AskConfig::paper_default();
-    let packetizer = Packetizer::new(cfg.layout, 64);
-    let mut engine = AggregatorEngine::new(cfg);
+    let mut engine = AggregatorEngine::new(AskConfig::paper_default());
     engine.register_task(TaskId(1), 0).expect("region");
-    let pkts: Vec<DataPacket> = packetizer
-        .packetize(uniform_stream(5, 6_000, 24_000))
-        .data_payloads
-        .into_iter()
-        .enumerate()
-        .map(|(i, slots)| DataPacket {
-            task: TaskId(1),
-            channel: ChannelId(0),
-            seq: SeqNo(i as u64),
-            slots,
-        })
-        .collect();
+    let payloads = payloads();
+    let mut verdicts = Vec::with_capacity(1);
     // Warm the line: the first pass installs the (channel, task) entry.
-    engine.process_data(pkts[0].clone());
-    let mut seq = pkts.len() as u64;
-    let mut ix = 0usize;
+    engine.process_batch_views(&[data_view(&payloads[0], 0)], &mut verdicts);
+    let mut seq = 1u64;
     let mut group = c.benchmark_group("switch_dispatch");
     group.throughput(Throughput::Elements(1));
     group.bench_function("switch_dispatch", |b| {
-        b.iter(|| {
-            let mut p = pkts[ix % pkts.len()].clone();
-            p.seq = SeqNo(seq);
-            seq += 1;
-            ix += 1;
-            engine.process_data(p)
-        });
+        b.iter_batched(
+            || {
+                let v = data_view(&payloads[seq as usize % payloads.len()], seq);
+                seq += 1;
+                v
+            },
+            |v| {
+                verdicts.clear();
+                engine.process_batch_views(std::slice::from_ref(&v), &mut verdicts);
+            },
+            BatchSize::SmallInput,
+        );
     });
     group.finish();
 }
@@ -132,55 +153,36 @@ fn bench_burst_drain(c: &mut Criterion) {
     group.finish();
 }
 
-/// A 16-packet single-channel burst through `process_batch` with pooled
-/// slot vectors: the dispatch entry is resolved once per burst and packet
-/// bodies recycle through the engine's pool, so this measures the amortized
-/// per-packet ingest cost the switch pays under burst delivery.
+/// A 16-packet single-channel burst through `process_batch_views`: the
+/// dispatch entry is resolved once per burst and every key is pre-hashed
+/// in one columnar pass, so this measures the amortized per-packet engine
+/// cost the switch pays under burst delivery. Frame encode and parse happen
+/// in the untimed setup.
 fn bench_batch_ingest(c: &mut Criterion) {
     const BURST: usize = 16;
-    let cfg = AskConfig::paper_default();
-    let packetizer = Packetizer::new(cfg.layout, 64);
-    let mut engine = AggregatorEngine::new(cfg);
+    let mut engine = AggregatorEngine::new(AskConfig::paper_default());
     engine.register_task(TaskId(1), 0).expect("region");
-    let payloads: Vec<Vec<Option<KvTuple>>> = packetizer
-        .packetize(uniform_stream(5, 6_000, 24_000))
-        .data_payloads;
-    engine.process_data(DataPacket {
-        task: TaskId(1),
-        channel: ChannelId(0),
-        seq: SeqNo(0),
-        slots: payloads[0].clone(),
-    });
-    let mut seq = 1u64;
-    let mut ix = 0usize;
-    let mut batch: Vec<DataPacket> = Vec::with_capacity(BURST);
+    let payloads = payloads();
     let mut verdicts = Vec::with_capacity(BURST);
+    engine.process_batch_views(&[data_view(&payloads[0], 0)], &mut verdicts);
+    let mut seq = 1u64;
     let mut group = c.benchmark_group("batch_ingest");
     group.throughput(Throughput::Elements(BURST as u64));
     group.bench_function("batch_ingest", |b| {
-        b.iter(|| {
-            batch.clear();
-            for _ in 0..BURST {
-                let src = &payloads[ix % payloads.len()];
-                let mut slots = engine.pool_mut().take_slots(src.len());
-                slots.extend(src.iter().cloned());
-                batch.push(DataPacket {
-                    task: TaskId(1),
-                    channel: ChannelId(0),
-                    seq: SeqNo(seq),
-                    slots,
-                });
-                seq += 1;
-                ix += 1;
-            }
-            verdicts.clear();
-            engine.process_batch(batch.drain(..), &mut verdicts);
-            for v in verdicts.drain(..) {
-                if let ask::switch::DataVerdict::Forward(residual) = v {
-                    engine.pool_mut().recycle_slots(residual.slots);
-                }
-            }
-        });
+        b.iter_batched(
+            || {
+                let burst: Vec<DataPacketView> = (0..BURST as u64)
+                    .map(|i| data_view(&payloads[(seq + i) as usize % payloads.len()], seq + i))
+                    .collect();
+                seq += BURST as u64;
+                burst
+            },
+            |burst| {
+                verdicts.clear();
+                engine.process_batch_views(&burst, &mut verdicts);
+            },
+            BatchSize::SmallInput,
+        );
     });
     group.finish();
 }

@@ -148,14 +148,9 @@ mod tests {
 
     #[test]
     fn view_path_absorbs_without_any_switch_pool_traffic() {
-        if std::env::var("ASK_SWITCH_SCALAR").map(|v| v != "0").unwrap_or(false) {
-            // The scalar escape hatch is forced; this invariant is
-            // view-path-only by construction.
-            return;
-        }
         // Fig8(a) shape, small: every data frame carries short keys and
-        // matches the switch layout, so the zero-materialization view path
-        // handles 100% of the traffic. The switch packet pool must see
+        // matches the switch layout, so no frame needs the materializing
+        // fallback. The switch packet pool must see
         // *zero* takes — absorb verdicts read slots straight off the wire
         // bytes and partial absorbs re-frame the inbound buffer — and the
         // pure-absorb counter must show frames dying in the switch without
@@ -190,11 +185,6 @@ mod tests {
 
     #[test]
     fn host_view_path_receives_without_receiver_pool_traffic() {
-        if std::env::var("ASK_HOST_SCALAR").map(|v| v != "0").unwrap_or(false) {
-            // The scalar escape hatch is forced; this invariant is
-            // view-path-only by construction.
-            return;
-        }
         // The host-side mirror of the switch pure-absorb invariant: with
         // all-short keys on the default layout, every frame the receiver
         // sees (forwarded data, fins, the final fetch reply) is consumed

@@ -1,13 +1,15 @@
-//! Property: the switch engine's burst ingest (`process_batch`) is
-//! observationally identical to one-at-a-time `process_data` — same verdicts
-//! in the same order, same per-task counters, same fetchable switch memory —
-//! for arbitrary channel-interleaved bursts including the duplicates and
-//! reorderings a chaotic network produces.
+//! Property: the switch engine's burst ingest (`process_batch_views`) is
+//! observationally identical to one-at-a-time `process_data` on the
+//! materialized packets — same verdicts in the same order, same per-task
+//! counters, same pipeline passes, same fetchable switch memory, and
+//! residual frames byte-identical to re-encoding the reference's residual
+//! packets — for arbitrary channel-interleaved bursts including the
+//! duplicates and reorderings a chaotic network produces.
 
 use ask::config::AskConfig;
 use ask::switch::aggregator::AggregatorEngine;
 use ask::switch::{DataVerdict, ViewVerdict};
-use ask_wire::codec::encode_envelope_parts;
+use ask_wire::codec::{decode_envelope, encode_envelope_parts};
 use ask_wire::key::Key;
 use ask_wire::packet::{
     AskPacket, ChannelId, DataPacket, FetchScope, KvTuple, PacketLayout, SeqNo, TaskId,
@@ -110,30 +112,62 @@ proptest! {
         interleave in proptest::collection::vec(0usize..64, 0..64),
         dup_from in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
         burst_sizes in proptest::collection::vec(1usize..9, 1..64),
+        src in any::<u32>(),
+        dst in any::<u32>(),
     ) {
         let stream = build_stream(&per_channel, &interleave, &dup_from);
+        let layout = PacketLayout::short_only(SLOTS);
+        let frame_of = |p: &DataPacket| {
+            encode_envelope_parts(src, dst, 0, 0, &AskPacket::Data(p.clone()), &layout)
+        };
+        let views: Vec<DataPacketView> = stream
+            .iter()
+            .map(|p| match FrameView::parse(frame_of(p)).expect("valid").into_packet() {
+                PacketView::Data(d) => d,
+                _ => unreachable!("data frames parse to data views"),
+            })
+            .collect();
 
-        // Sequential reference.
+        // Sequential reference over the materialized packets.
         let mut seq_engine = engine();
         let seq_verdicts: Vec<DataVerdict> =
             stream.iter().cloned().map(|p| seq_engine.process_data(p)).collect();
 
-        // Batched run over arbitrary burst boundaries.
+        // View batches over arbitrary burst boundaries.
         let mut bat_engine = engine();
         let mut bat_verdicts = Vec::new();
-        let mut rest = &stream[..];
+        let mut cursor = 0usize;
         let mut sizes = burst_sizes.iter().cycle();
-        while !rest.is_empty() {
-            let n = (*sizes.next().expect("cycled")).min(rest.len());
-            let (burst, tail) = rest.split_at(n);
+        while cursor < views.len() {
+            let n = (*sizes.next().expect("cycled")).min(views.len() - cursor);
             let mut verdicts = Vec::new();
-            bat_engine.process_batch(burst.iter().cloned(), &mut verdicts);
+            bat_engine.process_batch_views(&views[cursor..cursor + n], &mut verdicts);
             prop_assert_eq!(verdicts.len(), n, "one verdict per packet");
             bat_verdicts.extend(verdicts);
-            rest = tail;
+            cursor += n;
         }
 
-        prop_assert_eq!(&seq_verdicts, &bat_verdicts);
+        prop_assert_eq!(seq_verdicts.len(), bat_verdicts.len());
+        for (at, (s, v)) in seq_verdicts.iter().zip(&bat_verdicts).enumerate() {
+            match (s, v) {
+                (DataVerdict::Stale, ViewVerdict::Stale) => {}
+                (DataVerdict::FullyAggregated, ViewVerdict::FullyAggregated) => {}
+                (DataVerdict::Forward(p), ViewVerdict::Forward { residual }) => {
+                    prop_assert_eq!(p.bitmap(), *residual, "surviving slot sets diverge");
+                    prop_assert_eq!(
+                        frame_of(p),
+                        views[at].residual_frame(*residual),
+                        "re-framed residual is not byte-identical at packet {}", at
+                    );
+                }
+                other => panic!("verdicts diverge at packet {at}: {other:?}"),
+            }
+        }
+        prop_assert_eq!(seq_engine.passes_executed(), bat_engine.passes_executed());
+        prop_assert_eq!(
+            seq_engine.constraint_violations(),
+            bat_engine.constraint_violations()
+        );
 
         for t in 0..TASKS {
             let task = TaskId(t);
@@ -153,12 +187,14 @@ proptest! {
         }
     }
 
-    /// The zero-materialization view batch (`process_batch_views`) is
-    /// observationally identical to the materializing batch
-    /// (`process_batch`) over the same burst boundaries: matching verdicts,
-    /// matching counters (burst histogram included), matching fetchable
-    /// memory — and every partial absorb re-frames to the *byte-identical*
-    /// wire frame the scalar path would re-encode.
+    /// The zero-materialization view batch (`process_batch_views`) over
+    /// parsed frames is observationally identical to materializing every
+    /// frame with `decode_envelope` and ingesting the owned packets over the
+    /// same burst boundaries: the materialized packets are the ones that
+    /// were sent, verdicts and counters match, fetchable memory matches, and
+    /// every partial absorb re-frames to the *byte-identical* wire frame that
+    /// re-encoding the materialized residual (with the decoded envelope's
+    /// addressing) produces.
     #[test]
     fn view_batch_matches_materializing_batch(
         per_channel in proptest::collection::vec(
@@ -195,15 +231,23 @@ proptest! {
         let mut view_engine = engine();
         let mut cursor = 0usize;
         let mut sizes = burst_sizes.iter().cycle();
-        while cursor < stream.len() {
-            let n = (*sizes.next().expect("cycled")).min(stream.len() - cursor);
+        while cursor < frames.len() {
+            let n = (*sizes.next().expect("cycled")).min(frames.len() - cursor);
             let burst = cursor..cursor + n;
             let mut mat_verdicts = Vec::new();
-            mat_engine.process_batch(stream[burst.clone()].iter().cloned(), &mut mat_verdicts);
+            for (f, sent) in frames[burst.clone()].iter().zip(&stream[burst.clone()]) {
+                let env = decode_envelope(f.clone()).expect("valid");
+                prop_assert_eq!((env.src, env.dst), (src, dst));
+                let AskPacket::Data(p) = env.packet else {
+                    unreachable!("data frames decode to data packets")
+                };
+                prop_assert_eq!(&p, sent, "materialized packet differs from the sent one");
+                mat_verdicts.push((env.src, env.dst, mat_engine.process_data(p)));
+            }
             let mut view_verdicts = Vec::new();
             view_engine.process_batch_views(&views[burst.clone()], &mut view_verdicts);
             prop_assert_eq!(mat_verdicts.len(), view_verdicts.len());
-            for (i, (m, v)) in mat_verdicts.iter().zip(&view_verdicts).enumerate() {
+            for (i, ((s, d, m), v)) in mat_verdicts.iter().zip(&view_verdicts).enumerate() {
                 let at = cursor + i;
                 match (m, v) {
                     (DataVerdict::Stale, ViewVerdict::Stale) => {}
@@ -211,7 +255,7 @@ proptest! {
                     (DataVerdict::Forward(p), ViewVerdict::Forward { residual }) => {
                         prop_assert_eq!(p.bitmap(), *residual, "surviving slot sets diverge");
                         let reencoded = encode_envelope_parts(
-                            src, dst, 0, 0, &AskPacket::Data(p.clone()), &layout,
+                            *s, *d, 0, 0, &AskPacket::Data(p.clone()), &layout,
                         );
                         let reframed = views[at].residual_frame(*residual);
                         prop_assert_eq!(
@@ -227,10 +271,13 @@ proptest! {
 
         for t in 0..TASKS {
             let task = TaskId(t);
-            prop_assert_eq!(
-                mat_engine.task_stats(task).expect("registered"),
-                view_engine.task_stats(task).expect("registered")
-            );
+            let mut m = mat_engine.task_stats(task).expect("registered");
+            let mut v = view_engine.task_stats(task).expect("registered");
+            // The burst histogram is the one intentionally batch-only
+            // observable; every protocol counter must match exactly.
+            m.burst_len = Default::default();
+            v.burst_len = Default::default();
+            prop_assert_eq!(m, v);
             prop_assert_eq!(
                 mat_engine.fetch(task, FetchScope::All, 1),
                 view_engine.fetch(task, FetchScope::All, 1)

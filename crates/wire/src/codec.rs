@@ -7,17 +7,17 @@
 //!
 //! Short and medium slots are encoded as fixed-width zero-padded key
 //! segments (exactly what the switch's `kPart` registers store), which is
-//! reversible because [`Key`]s never contain NUL bytes.
+//! reversible because [`Key`](crate::key::Key)s never contain NUL bytes.
+//!
+//! Decoding has one validator: the body walk behind
+//! [`FrameView::parse`]. [`decode_envelope`] and [`decode`] run it and then
+//! build the owned packet from the validated view.
 
-use crate::key::{Key, KeyError, KPART_BYTES};
-use crate::packet::{
-    AaRegion, AggregateOp, AskPacket, ChannelId, ControlMsg, DataPacket, FetchScope, KvTuple,
-    PacketLayout, SeqNo, TaskId,
-};
-use crate::pool::PacketPool;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::key::{KeyError, KPART_BYTES};
+use crate::packet::{AskPacket, ControlMsg, FetchScope, KvTuple, PacketLayout};
+use crate::view::{build_packet, parse_body, FrameView};
+use bytes::{BufMut, Bytes, BytesMut};
 use core::fmt;
-use std::sync::Arc;
 
 pub(crate) const KIND_DATA: u8 = 0;
 pub(crate) const KIND_LONG_KV: u8 = 1;
@@ -288,220 +288,17 @@ fn put_entries(buf: &mut BytesMut, entries: &[KvTuple]) {
     }
 }
 
-/// Deserializes a packet previously produced by [`encode`].
+/// Deserializes a packet body previously produced by [`encode`]: the
+/// shared body walk ([`FrameView::parse`](crate::view::FrameView::parse)
+/// minus the envelope header), then the owned-packet builder.
 ///
 /// # Errors
 ///
 /// Returns [`CodecError`] on truncation, unknown kinds, invalid keys, an
 /// impossible declared layout, or trailing bytes.
-pub fn decode(mut buf: Bytes) -> Result<AskPacket, CodecError> {
-    let packet = decode_inner(&mut buf, None)?;
-    if !buf.is_empty() {
-        return Err(CodecError::TrailingBytes(buf.len()));
-    }
-    Ok(packet)
-}
-
-/// [`decode`] drawing slot/tuple backing stores from `pool` instead of
-/// allocating. Vectors taken for a packet that later fails to decode are
-/// dropped, not returned — error paths are cold and self-heal on the next
-/// recycle.
-///
-/// # Errors
-///
-/// Same conditions as [`decode`].
-pub fn decode_pooled(mut buf: Bytes, pool: &mut PacketPool) -> Result<AskPacket, CodecError> {
-    let packet = decode_inner(&mut buf, Some(pool))?;
-    if !buf.is_empty() {
-        return Err(CodecError::TrailingBytes(buf.len()));
-    }
-    Ok(packet)
-}
-
-fn need(buf: &Bytes, n: usize) -> Result<(), CodecError> {
-    if buf.remaining() < n {
-        Err(CodecError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-fn decode_inner(
-    buf: &mut Bytes,
-    mut pool: Option<&mut PacketPool>,
-) -> Result<AskPacket, CodecError> {
-    need(buf, 1)?;
-    let kind = buf.get_u8();
-    match kind {
-        KIND_DATA => {
-            need(buf, 4 + 4 + 8 + 3 + 16)?;
-            let task = TaskId(buf.get_u32());
-            let channel = ChannelId(buf.get_u32());
-            let seq = SeqNo(buf.get_u64());
-            let short_slots = buf.get_u8() as usize;
-            let medium_groups = buf.get_u8() as usize;
-            let medium_segments = buf.get_u8() as usize;
-            let slots_total = short_slots + medium_groups;
-            if slots_total == 0 || slots_total > 128 || (medium_groups > 0 && medium_segments < 2) {
-                return Err(CodecError::BadLayout);
-            }
-            let layout = PacketLayout::custom(short_slots, medium_groups, medium_segments);
-            let bitmap = buf.get_u128();
-            if slots_total < 128 && bitmap >> slots_total != 0 {
-                return Err(CodecError::BadLayout);
-            }
-            let mut slots = match pool.as_deref_mut() {
-                Some(p) => p.take_slots(slots_total),
-                None => Vec::with_capacity(slots_total),
-            };
-            for i in 0..slots_total {
-                if bitmap & (1 << i) == 0 {
-                    slots.push(None);
-                    continue;
-                }
-                let width = if layout.is_short_slot(i) {
-                    KPART_BYTES
-                } else {
-                    layout.medium_max_key_len()
-                };
-                need(buf, width + 4)?;
-                // Scan the padded segment through the plain byte view first,
-                // then borrow the key bytes from the input buffer with a
-                // single O(1) slice of the shared backing storage — no
-                // per-slot allocation and only one refcount touch.
-                let raw = &buf[..width];
-                let key_len = raw.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
-                if key_len == 0 {
-                    return Err(KeyError::Empty.into());
-                }
-                if raw[..key_len].contains(&0) {
-                    return Err(KeyError::ContainsNul.into());
-                }
-                let key = Key::from_validated_slice(&raw[..key_len]);
-                buf.advance(width);
-                let value = buf.get_u32();
-                slots.push(Some(KvTuple::new(key, value)));
-            }
-            Ok(AskPacket::Data(DataPacket {
-                task,
-                channel,
-                seq,
-                slots,
-            }))
-        }
-        KIND_LONG_KV => {
-            need(buf, 4 + 4 + 8)?;
-            let task = TaskId(buf.get_u32());
-            let channel = ChannelId(buf.get_u32());
-            let seq = SeqNo(buf.get_u64());
-            let entries = get_entries(buf, pool)?;
-            Ok(AskPacket::LongKv {
-                task,
-                channel,
-                seq,
-                entries,
-            })
-        }
-        KIND_ACK => {
-            need(buf, 4 + 8 + 1)?;
-            Ok(AskPacket::Ack {
-                channel: ChannelId(buf.get_u32()),
-                seq: SeqNo(buf.get_u64()),
-                ece: buf.get_u8() != 0,
-            })
-        }
-        KIND_FIN => {
-            need(buf, 4 + 4 + 8)?;
-            Ok(AskPacket::Fin {
-                task: TaskId(buf.get_u32()),
-                channel: ChannelId(buf.get_u32()),
-                seq: SeqNo(buf.get_u64()),
-            })
-        }
-        KIND_SWAP => {
-            need(buf, 4)?;
-            Ok(AskPacket::Swap {
-                task: TaskId(buf.get_u32()),
-            })
-        }
-        KIND_FETCH_REQ => {
-            need(buf, 9)?;
-            let task = TaskId(buf.get_u32());
-            let scope = match buf.get_u8() {
-                0 => FetchScope::Inactive,
-                _ => FetchScope::All,
-            };
-            let fetch_seq = buf.get_u32();
-            Ok(AskPacket::FetchRequest {
-                task,
-                scope,
-                fetch_seq,
-            })
-        }
-        KIND_FETCH_REPLY => {
-            need(buf, 8)?;
-            let task = TaskId(buf.get_u32());
-            let fetch_seq = buf.get_u32();
-            // Fetch-reply entries go behind a shared `Arc` (fetch cache,
-            // replayed replies), so their backing store cannot be recycled.
-            let entries = Arc::new(get_entries(buf, None)?);
-            Ok(AskPacket::FetchReply {
-                task,
-                fetch_seq,
-                entries,
-            })
-        }
-        KIND_CONTROL => {
-            need(buf, 1)?;
-            let ctrl = buf.get_u8();
-            match ctrl {
-                CTRL_REGION_REQUEST => {
-                    need(buf, 5)?;
-                    Ok(AskPacket::Control(ControlMsg::RegionRequest {
-                        task: TaskId(buf.get_u32()),
-                        op: AggregateOp::from_code(buf.get_u8()),
-                    }))
-                }
-                CTRL_REGION_GRANT => {
-                    need(buf, 12)?;
-                    Ok(AskPacket::Control(ControlMsg::RegionGrant {
-                        task: TaskId(buf.get_u32()),
-                        region: AaRegion {
-                            base: buf.get_u32(),
-                            aggregators: buf.get_u32(),
-                        },
-                    }))
-                }
-                CTRL_REGION_DENY => {
-                    need(buf, 4)?;
-                    Ok(AskPacket::Control(ControlMsg::RegionDeny {
-                        task: TaskId(buf.get_u32()),
-                    }))
-                }
-                CTRL_REGION_RELEASE => {
-                    need(buf, 4)?;
-                    Ok(AskPacket::Control(ControlMsg::RegionRelease {
-                        task: TaskId(buf.get_u32()),
-                    }))
-                }
-                CTRL_TASK_ANNOUNCE => {
-                    need(buf, 8)?;
-                    Ok(AskPacket::Control(ControlMsg::TaskAnnounce {
-                        task: TaskId(buf.get_u32()),
-                        receiver: buf.get_u32(),
-                    }))
-                }
-                CTRL_EPOCH_NOTIFY => {
-                    need(buf, 4)?;
-                    Ok(AskPacket::Control(ControlMsg::EpochNotify {
-                        epoch: buf.get_u32(),
-                    }))
-                }
-                other => Err(CodecError::BadControlKind(other)),
-            }
-        }
-        other => Err(CodecError::BadKind(other)),
-    }
+pub fn decode(buf: Bytes) -> Result<AskPacket, CodecError> {
+    let packet = parse_body(&buf, 0)?;
+    Ok(build_packet(&buf, 0, &packet, None))
 }
 
 /// An [`AskPacket`] wrapped with source/destination addressing, the unit a
@@ -650,10 +447,8 @@ pub fn encode_envelope_parts(
     buf.freeze()
 }
 
-/// The addressing fields of a validated envelope header — the single
-/// checksum-and-header pass shared by [`decode_envelope`],
-/// [`decode_envelope_pooled`], and [`crate::view::FrameView::parse`], so no
-/// ingest path ever CRCs a frame twice.
+/// The addressing fields of a validated envelope header, read by
+/// [`crate::view::FrameView::parse`] in the same pass that checks the CRC.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EnvelopeHeader {
     pub(crate) src: u32,
@@ -679,71 +474,23 @@ pub(crate) fn check_envelope_header(bytes: &[u8]) -> Result<EnvelopeHeader, Code
     })
 }
 
-/// Deserializes an addressed packet produced by [`encode_envelope`],
-/// verifying the integrity checksum first.
+/// Deserializes an addressed packet produced by [`encode_envelope`]:
+/// [`FrameView::parse`] followed by [`FrameView::materialize`].
 ///
 /// # Errors
 ///
 /// [`CodecError::ChecksumMismatch`] for corrupted frames; otherwise the
 /// same conditions as [`decode`].
 pub fn decode_envelope(bytes: Bytes) -> Result<Envelope, CodecError> {
-    let h = check_envelope_header(&bytes)?;
-    let packet = decode(bytes.slice(ENVELOPE_HEADER_BYTES..))?;
-    Ok(Envelope {
-        src: h.src,
-        dst: h.dst,
-        epoch: h.epoch,
-        flags: h.flags,
-        packet,
-    })
-}
-
-/// [`decode_envelope`] drawing packet backing stores from `pool` — the hot
-/// path used by the switch and the daemons, which own a [`PacketPool`] and
-/// recycle each packet's vectors once its tuples are consumed.
-///
-/// # Errors
-///
-/// Same conditions as [`decode_envelope`].
-pub fn decode_envelope_pooled(
-    bytes: Bytes,
-    pool: &mut PacketPool,
-) -> Result<Envelope, CodecError> {
-    let h = check_envelope_header(&bytes)?;
-    let packet = decode_pooled(bytes.slice(ENVELOPE_HEADER_BYTES..), pool)?;
-    Ok(Envelope {
-        src: h.src,
-        dst: h.dst,
-        epoch: h.epoch,
-        flags: h.flags,
-        packet,
-    })
-}
-
-fn get_entries(
-    buf: &mut Bytes,
-    pool: Option<&mut PacketPool>,
-) -> Result<Vec<KvTuple>, CodecError> {
-    need(buf, 4)?;
-    let count = buf.get_u32() as usize;
-    let mut entries = match pool {
-        Some(p) => p.take_tuples(count.min(4096)),
-        None => Vec::with_capacity(count.min(4096)),
-    };
-    for _ in 0..count {
-        need(buf, 2)?;
-        let len = buf.get_u16() as usize;
-        need(buf, len + 4)?;
-        let key = Key::new(buf.copy_to_bytes(len))?;
-        let value = buf.get_u32();
-        entries.push(KvTuple::new(key, value));
-    }
-    Ok(entries)
+    Ok(FrameView::parse(bytes)?.materialize())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::Key;
+    use crate::packet::{AaRegion, AggregateOp, ChannelId, DataPacket, SeqNo, TaskId};
+    use std::sync::Arc;
 
     fn kv(s: &str, v: u32) -> KvTuple {
         KvTuple::new(Key::from_str(s).unwrap(), v)

@@ -120,11 +120,7 @@ impl Key {
     /// Returns [`KeyError`] if `bytes` is empty or contains a NUL byte.
     pub fn new(bytes: Bytes) -> Result<Self, KeyError> {
         validate(&bytes)?;
-        if bytes.len() <= INLINE_KEY_CAP {
-            Ok(Key::store(&bytes))
-        } else {
-            Ok(Key(Repr::Heap(bytes)))
-        }
+        Ok(Key::from_validated_bytes(bytes))
     }
 
     /// Validates and copies raw key bytes — the borrowed counterpart of
@@ -145,6 +141,17 @@ impl Key {
     /// invariants itself while scanning off the zero padding.
     pub(crate) fn from_validated_slice(bytes: &[u8]) -> Self {
         Key::store(bytes)
+    }
+
+    /// [`Key::from_validated_slice`] for bytes the caller holds shared: a
+    /// key longer than [`INLINE_KEY_CAP`] keeps `bytes` itself (usually a
+    /// slice of the frame it arrived in) instead of copying it.
+    pub(crate) fn from_validated_bytes(bytes: Bytes) -> Self {
+        if bytes.len() <= INLINE_KEY_CAP {
+            Key::store(&bytes)
+        } else {
+            Key(Repr::Heap(bytes))
+        }
     }
 
     /// Builds a key from a string slice.

@@ -38,8 +38,7 @@ pub mod view;
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
     pub use crate::codec::{
-        crc32, decode, decode_envelope, decode_envelope_pooled, decode_pooled, encode,
-        encode_envelope, CodecError, Envelope,
+        crc32, decode, decode_envelope, encode, encode_envelope, CodecError, Envelope,
     };
     pub use crate::constants::PACKET_OVERHEAD;
     pub use crate::key::{Key, KeyClass, KeyError};

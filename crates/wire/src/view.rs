@@ -1,41 +1,47 @@
-//! Borrowed, zero-materialization views over encoded frames.
+//! Borrowed, zero-materialization views over encoded frames — and the wire
+//! format's one validator.
 //!
-//! [`FrameView::parse`] validates an envelope exactly as strictly as
-//! [`decode_envelope`](crate::codec::decode_envelope) — one CRC pass, the
-//! same truncation/layout/key checks in the same order — but builds **no**
-//! owned packet: no `Vec<Option<KvTuple>>`, no pool traffic, no per-slot
-//! `Key` values. Header fields and slot (key, value) pairs are typed reads
-//! over the raw frame bytes, which is how the paper's Tofino pipeline
-//! consumes packets (the ASIC never "decodes"; it reads fields in place).
+//! [`FrameView::parse`] checks an envelope once — CRC, header, then every
+//! body field, slot and key — and builds **no** owned packet: no
+//! `Vec<Option<KvTuple>>`, no pool traffic, no per-slot `Key` values.
+//! Header fields and slot (key, value) pairs are typed reads over the raw
+//! frame bytes, which is how the paper's Tofino pipeline consumes packets
+//! (the ASIC never "decodes"; it reads fields in place). Every other
+//! decoder in the crate goes through the same body walk:
+//! [`decode_envelope`](crate::codec::decode_envelope) is `parse` followed
+//! by [`FrameView::materialize`], and the bare-body
+//! [`decode`](crate::codec::decode) runs the walk at offset 0.
 //!
-//! The switch's hot ingest path parses a view, aggregates straight out of
-//! the slot bytes, and — when a packet is only partially absorbed —
-//! rewrites the frame with [`DataPacketView::residual_frame`], which copies
-//! the surviving slots and patches the bitmap and CRC in one exact-size
-//! buffer. Frames a view cannot serve (long-kv relays, fetch drains,
-//! no-aggregate pass-through, layout mismatches) fall back to
-//! [`FrameView::materialize_pooled`], which reuses the view's one-shot CRC
-//! validation instead of re-checksumming.
+//! The switch's ingest path parses a view, aggregates straight out of the
+//! slot bytes, and — when a packet is only partially absorbed — rewrites the
+//! frame with [`DataPacketView::residual_frame`], which copies the surviving
+//! slots and patches the bitmap and CRC in one exact-size buffer. The few
+//! frames a receiver must own (no-aggregate or foreign-layout data on the
+//! switch; long-kv bodies and foreign-layout data on a host) go through
+//! [`FrameView::materialize_pooled`], a builder that cannot fail because
+//! the view already validated every byte.
 
 use crate::codec::{
-    check_envelope_header, crc32, decode, decode_pooled, CodecError, Envelope, CTRL_EPOCH_NOTIFY,
-    CTRL_REGION_DENY, CTRL_REGION_GRANT, CTRL_REGION_RELEASE, CTRL_REGION_REQUEST,
-    CTRL_TASK_ANNOUNCE, ENVELOPE_HEADER_BYTES, KIND_ACK, KIND_CONTROL, KIND_DATA, KIND_FETCH_REPLY,
-    KIND_FETCH_REQ, KIND_FIN, KIND_LONG_KV, KIND_SWAP,
+    check_envelope_header, crc32, CodecError, Envelope, CTRL_EPOCH_NOTIFY, CTRL_REGION_DENY,
+    CTRL_REGION_GRANT, CTRL_REGION_RELEASE, CTRL_REGION_REQUEST, CTRL_TASK_ANNOUNCE,
+    ENVELOPE_HEADER_BYTES, KIND_ACK, KIND_CONTROL, KIND_DATA, KIND_FETCH_REPLY, KIND_FETCH_REQ,
+    KIND_FIN, KIND_LONG_KV, KIND_SWAP,
 };
-use crate::key::{fnv1a, Key, KPART_BYTES};
+use crate::key::{fnv1a, Key, KeyError, KPART_BYTES};
 use crate::packet::{
-    AaRegion, AggregateOp, ChannelId, ControlMsg, FetchScope, PacketLayout, SeqNo, TaskId,
+    AaRegion, AggregateOp, AskPacket, ChannelId, ControlMsg, DataPacket, FetchScope, KvTuple,
+    PacketLayout, SeqNo, TaskId,
 };
 use crate::pool::PacketPool;
 use bytes::{BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
-/// Offset of the data-packet bitmap within a frame: envelope header, kind
-/// byte, task/channel/seq, and the three declared-layout bytes.
-const BITMAP_OFFSET: usize = ENVELOPE_HEADER_BYTES + 1 + 4 + 4 + 8 + 3;
+/// Offset of the bitmap within a data-packet body: kind byte,
+/// task/channel/seq, and the three declared-layout bytes.
+const DATA_BITMAP: usize = 1 + 4 + 4 + 8 + 3;
 
-/// Offset of the first slot's bytes within a data frame.
-const SLOTS_OFFSET: usize = BITMAP_OFFSET + 16;
+/// Offset of the first slot's bytes within a data-packet body.
+const DATA_SLOTS: usize = DATA_BITMAP + 16;
 
 #[inline]
 fn need(total: usize, pos: usize, n: usize) -> Result<(), CodecError> {
@@ -156,6 +162,9 @@ pub enum PacketView {
 #[derive(Debug, Clone)]
 pub struct DataPacketView {
     bytes: Bytes,
+    /// Where the packet body starts in `bytes`: past the envelope header
+    /// for a parsed frame, 0 for a bare body being decoded.
+    body: u8,
     task: TaskId,
     channel: ChannelId,
     seq: SeqNo,
@@ -191,6 +200,9 @@ pub struct SlotViews<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct EntryView<'a> {
     key: &'a [u8],
+    /// Offset of `key` in the frame bytes, so a materialized long key can
+    /// share the frame buffer instead of copying.
+    at: usize,
     value: u32,
 }
 
@@ -205,210 +217,18 @@ pub struct EntryViews<'a> {
 
 impl FrameView {
     /// Parses and fully validates an encoded envelope without materializing
-    /// the packet. Accept/reject behavior — including the specific error —
-    /// is identical to [`decode_envelope`](crate::codec::decode_envelope).
+    /// the packet: the checksum and header first, then the body walk every
+    /// decoder in the crate shares.
     ///
     /// # Errors
     ///
-    /// The same conditions, in the same order, as
-    /// [`decode_envelope`](crate::codec::decode_envelope).
+    /// [`CodecError::Truncated`] for a frame shorter than the envelope
+    /// header, [`CodecError::ChecksumMismatch`] for a corrupted one, then
+    /// whatever the body walk rejects: truncation, unknown kinds, invalid
+    /// keys, an impossible declared layout, or trailing bytes.
     pub fn parse(bytes: Bytes) -> Result<FrameView, CodecError> {
         let h = check_envelope_header(&bytes)?;
-        let b: &[u8] = &bytes;
-        let total = b.len();
-        let mut pos = ENVELOPE_HEADER_BYTES;
-        need(total, pos, 1)?;
-        let kind = b[pos];
-        pos += 1;
-        let packet = match kind {
-            KIND_DATA => {
-                need(total, pos, 4 + 4 + 8 + 3 + 16)?;
-                let task = TaskId(rd_u32(b, pos));
-                let channel = ChannelId(rd_u32(b, pos + 4));
-                let seq = SeqNo(rd_u64(b, pos + 8));
-                let short_slots = b[pos + 16] as usize;
-                let medium_groups = b[pos + 17] as usize;
-                let medium_segments = b[pos + 18] as usize;
-                let slots_total = short_slots + medium_groups;
-                if slots_total == 0
-                    || slots_total > 128
-                    || (medium_groups > 0 && medium_segments < 2)
-                {
-                    return Err(CodecError::BadLayout);
-                }
-                let bitmap = rd_u128(b, pos + 19);
-                if slots_total < 128 && bitmap >> slots_total != 0 {
-                    return Err(CodecError::BadLayout);
-                }
-                pos += 4 + 4 + 8 + 3 + 16;
-                for i in 0..slots_total {
-                    if bitmap & (1 << i) == 0 {
-                        continue;
-                    }
-                    let width = if i < short_slots {
-                        KPART_BYTES
-                    } else {
-                        KPART_BYTES * medium_segments
-                    };
-                    need(total, pos, width + 4)?;
-                    let raw = &b[pos..pos + width];
-                    let key_len = raw.iter().rposition(|&x| x != 0).map_or(0, |p| p + 1);
-                    if key_len == 0 {
-                        return Err(crate::key::KeyError::Empty.into());
-                    }
-                    if raw[..key_len].contains(&0) {
-                        return Err(crate::key::KeyError::ContainsNul.into());
-                    }
-                    pos += width + 4;
-                }
-                PacketView::Data(DataPacketView {
-                    bytes: bytes.clone(),
-                    task,
-                    channel,
-                    seq,
-                    short_slots: short_slots as u8,
-                    medium_groups: medium_groups as u8,
-                    medium_segments: medium_segments as u8,
-                    bitmap,
-                })
-            }
-            KIND_LONG_KV => {
-                need(total, pos, 4 + 4 + 8)?;
-                let task = TaskId(rd_u32(b, pos));
-                let channel = ChannelId(rd_u32(b, pos + 4));
-                let seq = SeqNo(rd_u64(b, pos + 8));
-                pos += 16;
-                let entry_count = validate_entries(b, total, &mut pos)?;
-                PacketView::LongKv {
-                    task,
-                    channel,
-                    seq,
-                    entry_count,
-                }
-            }
-            KIND_ACK => {
-                need(total, pos, 4 + 8 + 1)?;
-                let v = PacketView::Ack {
-                    channel: ChannelId(rd_u32(b, pos)),
-                    seq: SeqNo(rd_u64(b, pos + 4)),
-                    ece: b[pos + 12] != 0,
-                };
-                pos += 13;
-                v
-            }
-            KIND_FIN => {
-                need(total, pos, 4 + 4 + 8)?;
-                let v = PacketView::Fin {
-                    task: TaskId(rd_u32(b, pos)),
-                    channel: ChannelId(rd_u32(b, pos + 4)),
-                    seq: SeqNo(rd_u64(b, pos + 8)),
-                };
-                pos += 16;
-                v
-            }
-            KIND_SWAP => {
-                need(total, pos, 4)?;
-                let v = PacketView::Swap {
-                    task: TaskId(rd_u32(b, pos)),
-                };
-                pos += 4;
-                v
-            }
-            KIND_FETCH_REQ => {
-                need(total, pos, 9)?;
-                let task = TaskId(rd_u32(b, pos));
-                let scope = match b[pos + 4] {
-                    0 => FetchScope::Inactive,
-                    _ => FetchScope::All,
-                };
-                let fetch_seq = rd_u32(b, pos + 5);
-                pos += 9;
-                PacketView::FetchRequest {
-                    task,
-                    scope,
-                    fetch_seq,
-                }
-            }
-            KIND_FETCH_REPLY => {
-                need(total, pos, 8)?;
-                let task = TaskId(rd_u32(b, pos));
-                let fetch_seq = rd_u32(b, pos + 4);
-                pos += 8;
-                let entry_count = validate_entries(b, total, &mut pos)?;
-                PacketView::FetchReply {
-                    task,
-                    fetch_seq,
-                    entry_count,
-                }
-            }
-            KIND_CONTROL => {
-                need(total, pos, 1)?;
-                let ctrl = b[pos];
-                pos += 1;
-                let msg = match ctrl {
-                    CTRL_REGION_REQUEST => {
-                        need(total, pos, 5)?;
-                        let m = ControlMsg::RegionRequest {
-                            task: TaskId(rd_u32(b, pos)),
-                            op: AggregateOp::from_code(b[pos + 4]),
-                        };
-                        pos += 5;
-                        m
-                    }
-                    CTRL_REGION_GRANT => {
-                        need(total, pos, 12)?;
-                        let m = ControlMsg::RegionGrant {
-                            task: TaskId(rd_u32(b, pos)),
-                            region: AaRegion {
-                                base: rd_u32(b, pos + 4),
-                                aggregators: rd_u32(b, pos + 8),
-                            },
-                        };
-                        pos += 12;
-                        m
-                    }
-                    CTRL_REGION_DENY => {
-                        need(total, pos, 4)?;
-                        let m = ControlMsg::RegionDeny {
-                            task: TaskId(rd_u32(b, pos)),
-                        };
-                        pos += 4;
-                        m
-                    }
-                    CTRL_REGION_RELEASE => {
-                        need(total, pos, 4)?;
-                        let m = ControlMsg::RegionRelease {
-                            task: TaskId(rd_u32(b, pos)),
-                        };
-                        pos += 4;
-                        m
-                    }
-                    CTRL_TASK_ANNOUNCE => {
-                        need(total, pos, 8)?;
-                        let m = ControlMsg::TaskAnnounce {
-                            task: TaskId(rd_u32(b, pos)),
-                            receiver: rd_u32(b, pos + 4),
-                        };
-                        pos += 8;
-                        m
-                    }
-                    CTRL_EPOCH_NOTIFY => {
-                        need(total, pos, 4)?;
-                        let m = ControlMsg::EpochNotify {
-                            epoch: rd_u32(b, pos),
-                        };
-                        pos += 4;
-                        m
-                    }
-                    other => return Err(CodecError::BadControlKind(other)),
-                };
-                PacketView::Control(msg)
-            }
-            other => return Err(CodecError::BadKind(other)),
-        };
-        if pos != total {
-            return Err(CodecError::TrailingBytes(total - pos));
-        }
+        let packet = parse_body(&bytes, ENVELOPE_HEADER_BYTES)?;
         Ok(FrameView {
             bytes,
             src: h.src,
@@ -459,68 +279,336 @@ impl FrameView {
     /// fetch-merge path. Entries were validated during [`FrameView::parse`];
     /// `None` for packet kinds that carry no entry list.
     pub fn entries(&self) -> Option<EntryViews<'_>> {
-        // Body layout after the envelope header and kind byte:
-        // long-kv     task(4) channel(4) seq(8)  count(4) entries…
-        // fetch-reply task(4) fetch_seq(4)       count(4) entries…
-        let (offset, remaining) = match self.packet {
-            PacketView::LongKv { entry_count, .. } => {
-                (ENVELOPE_HEADER_BYTES + 1 + 16 + 4, entry_count)
-            }
-            PacketView::FetchReply { entry_count, .. } => {
-                (ENVELOPE_HEADER_BYTES + 1 + 8 + 4, entry_count)
-            }
-            _ => return None,
-        };
-        Some(EntryViews {
-            bytes: &self.bytes,
-            offset,
-            remaining,
-        })
+        entry_views(&self.bytes, ENVELOPE_HEADER_BYTES, &self.packet)
     }
 
-    /// Materializes the full owned [`Envelope`] without re-checksumming —
-    /// the view's parse already validated the CRC and every field.
-    ///
-    /// # Panics
-    ///
-    /// Never on a view produced by [`FrameView::parse`]; the body was
-    /// validated byte for byte.
+    /// Builds the full owned [`Envelope`] without re-checksumming — the
+    /// parse already validated the CRC and every field, so this cannot fail.
     pub fn materialize(&self) -> Envelope {
-        let packet = decode(self.bytes.slice(ENVELOPE_HEADER_BYTES..))
-            .expect("view-validated frame must decode");
-        Envelope {
-            src: self.src,
-            dst: self.dst,
-            epoch: self.epoch,
-            flags: self.flags,
-            packet,
-        }
+        self.materialize_with(None)
     }
 
     /// [`FrameView::materialize`] drawing slot/tuple backing stores from
-    /// `pool` — the switch's fallback path for frames the view cannot serve
-    /// (no-aggregate relays, layout mismatches). Skips the second CRC pass
-    /// `decode_envelope_pooled` would pay.
-    ///
-    /// # Panics
-    ///
-    /// Never on a view produced by [`FrameView::parse`].
+    /// `pool` — the fallback for the frames a switch or daemon must own
+    /// (no-aggregate relays, foreign layouts, long-kv bodies).
     pub fn materialize_pooled(&self, pool: &mut PacketPool) -> Envelope {
-        let packet = decode_pooled(self.bytes.slice(ENVELOPE_HEADER_BYTES..), pool)
-            .expect("view-validated frame must decode");
+        self.materialize_with(Some(pool))
+    }
+
+    fn materialize_with(&self, pool: Option<&mut PacketPool>) -> Envelope {
         Envelope {
             src: self.src,
             dst: self.dst,
             epoch: self.epoch,
             flags: self.flags,
-            packet,
+            packet: build_packet(&self.bytes, ENVELOPE_HEADER_BYTES, &self.packet, pool),
         }
     }
 }
 
-/// Walks a long-kv / fetch-reply entry list, applying exactly the
-/// validation `get_entries` applies during a full decode, without building
-/// tuples. Returns the declared entry count.
+/// The body walk: validates the packet body at `bytes[body..]` through to
+/// the last byte and returns its typed view. The only code in the crate
+/// that rejects a body — [`FrameView::parse`] runs it behind the envelope
+/// header, [`decode`](crate::codec::decode) at offset 0.
+pub(crate) fn parse_body(bytes: &Bytes, body: usize) -> Result<PacketView, CodecError> {
+    let b: &[u8] = bytes;
+    let total = b.len();
+    let mut pos = body;
+    need(total, pos, 1)?;
+    let kind = b[pos];
+    pos += 1;
+    let packet = match kind {
+        KIND_DATA => {
+            need(total, pos, 4 + 4 + 8 + 3 + 16)?;
+            let task = TaskId(rd_u32(b, pos));
+            let channel = ChannelId(rd_u32(b, pos + 4));
+            let seq = SeqNo(rd_u64(b, pos + 8));
+            let short_slots = b[pos + 16] as usize;
+            let medium_groups = b[pos + 17] as usize;
+            let medium_segments = b[pos + 18] as usize;
+            let slots_total = short_slots + medium_groups;
+            if slots_total == 0 || slots_total > 128 || (medium_groups > 0 && medium_segments < 2) {
+                return Err(CodecError::BadLayout);
+            }
+            let bitmap = rd_u128(b, pos + 19);
+            if slots_total < 128 && bitmap >> slots_total != 0 {
+                return Err(CodecError::BadLayout);
+            }
+            pos += 4 + 4 + 8 + 3 + 16;
+            for i in 0..slots_total {
+                if bitmap & (1 << i) == 0 {
+                    continue;
+                }
+                let width = if i < short_slots {
+                    KPART_BYTES
+                } else {
+                    KPART_BYTES * medium_segments
+                };
+                need(total, pos, width + 4)?;
+                // Keys never contain NUL, so the zero padding is
+                // reversible: the key is everything up to the last
+                // non-zero byte.
+                let raw = &b[pos..pos + width];
+                let key_len = raw.iter().rposition(|&x| x != 0).map_or(0, |p| p + 1);
+                if key_len == 0 {
+                    return Err(KeyError::Empty.into());
+                }
+                if raw[..key_len].contains(&0) {
+                    return Err(KeyError::ContainsNul.into());
+                }
+                pos += width + 4;
+            }
+            PacketView::Data(DataPacketView {
+                bytes: bytes.clone(),
+                body: body as u8,
+                task,
+                channel,
+                seq,
+                short_slots: short_slots as u8,
+                medium_groups: medium_groups as u8,
+                medium_segments: medium_segments as u8,
+                bitmap,
+            })
+        }
+        KIND_LONG_KV => {
+            need(total, pos, 4 + 4 + 8)?;
+            let task = TaskId(rd_u32(b, pos));
+            let channel = ChannelId(rd_u32(b, pos + 4));
+            let seq = SeqNo(rd_u64(b, pos + 8));
+            pos += 16;
+            let entry_count = validate_entries(b, total, &mut pos)?;
+            PacketView::LongKv {
+                task,
+                channel,
+                seq,
+                entry_count,
+            }
+        }
+        KIND_ACK => {
+            need(total, pos, 4 + 8 + 1)?;
+            let v = PacketView::Ack {
+                channel: ChannelId(rd_u32(b, pos)),
+                seq: SeqNo(rd_u64(b, pos + 4)),
+                ece: b[pos + 12] != 0,
+            };
+            pos += 13;
+            v
+        }
+        KIND_FIN => {
+            need(total, pos, 4 + 4 + 8)?;
+            let v = PacketView::Fin {
+                task: TaskId(rd_u32(b, pos)),
+                channel: ChannelId(rd_u32(b, pos + 4)),
+                seq: SeqNo(rd_u64(b, pos + 8)),
+            };
+            pos += 16;
+            v
+        }
+        KIND_SWAP => {
+            need(total, pos, 4)?;
+            let v = PacketView::Swap {
+                task: TaskId(rd_u32(b, pos)),
+            };
+            pos += 4;
+            v
+        }
+        KIND_FETCH_REQ => {
+            need(total, pos, 9)?;
+            let task = TaskId(rd_u32(b, pos));
+            let scope = match b[pos + 4] {
+                0 => FetchScope::Inactive,
+                _ => FetchScope::All,
+            };
+            let fetch_seq = rd_u32(b, pos + 5);
+            pos += 9;
+            PacketView::FetchRequest {
+                task,
+                scope,
+                fetch_seq,
+            }
+        }
+        KIND_FETCH_REPLY => {
+            need(total, pos, 8)?;
+            let task = TaskId(rd_u32(b, pos));
+            let fetch_seq = rd_u32(b, pos + 4);
+            pos += 8;
+            let entry_count = validate_entries(b, total, &mut pos)?;
+            PacketView::FetchReply {
+                task,
+                fetch_seq,
+                entry_count,
+            }
+        }
+        KIND_CONTROL => {
+            need(total, pos, 1)?;
+            let ctrl = b[pos];
+            pos += 1;
+            let (msg, len) = match ctrl {
+                CTRL_REGION_REQUEST => {
+                    need(total, pos, 5)?;
+                    let m = ControlMsg::RegionRequest {
+                        task: TaskId(rd_u32(b, pos)),
+                        op: AggregateOp::from_code(b[pos + 4]),
+                    };
+                    (m, 5)
+                }
+                CTRL_REGION_GRANT => {
+                    need(total, pos, 12)?;
+                    let m = ControlMsg::RegionGrant {
+                        task: TaskId(rd_u32(b, pos)),
+                        region: AaRegion {
+                            base: rd_u32(b, pos + 4),
+                            aggregators: rd_u32(b, pos + 8),
+                        },
+                    };
+                    (m, 12)
+                }
+                CTRL_REGION_DENY => {
+                    need(total, pos, 4)?;
+                    let m = ControlMsg::RegionDeny {
+                        task: TaskId(rd_u32(b, pos)),
+                    };
+                    (m, 4)
+                }
+                CTRL_REGION_RELEASE => {
+                    need(total, pos, 4)?;
+                    let m = ControlMsg::RegionRelease {
+                        task: TaskId(rd_u32(b, pos)),
+                    };
+                    (m, 4)
+                }
+                CTRL_TASK_ANNOUNCE => {
+                    need(total, pos, 8)?;
+                    let m = ControlMsg::TaskAnnounce {
+                        task: TaskId(rd_u32(b, pos)),
+                        receiver: rd_u32(b, pos + 4),
+                    };
+                    (m, 8)
+                }
+                CTRL_EPOCH_NOTIFY => {
+                    need(total, pos, 4)?;
+                    let m = ControlMsg::EpochNotify {
+                        epoch: rd_u32(b, pos),
+                    };
+                    (m, 4)
+                }
+                other => return Err(CodecError::BadControlKind(other)),
+            };
+            pos += len;
+            PacketView::Control(msg)
+        }
+        other => return Err(CodecError::BadKind(other)),
+    };
+    if pos != total {
+        return Err(CodecError::TrailingBytes(total - pos));
+    }
+    Ok(packet)
+}
+
+/// The entry list of a long-kv or fetch-reply body at `bytes[body..]`.
+fn entry_views<'a>(bytes: &'a [u8], body: usize, packet: &PacketView) -> Option<EntryViews<'a>> {
+    // Body layout after the kind byte:
+    // long-kv     task(4) channel(4) seq(8)  count(4) entries…
+    // fetch-reply task(4) fetch_seq(4)       count(4) entries…
+    let (offset, remaining) = match *packet {
+        PacketView::LongKv { entry_count, .. } => (body + 1 + 16 + 4, entry_count),
+        PacketView::FetchReply { entry_count, .. } => (body + 1 + 8 + 4, entry_count),
+        _ => return None,
+    };
+    Some(EntryViews {
+        bytes,
+        offset,
+        remaining,
+    })
+}
+
+/// Builds the owned packet for a body [`parse_body`] already validated at
+/// `bytes[body..]`; cannot fail. Slot and entry vectors come from `pool`
+/// when one is given. Entry keys longer than
+/// [`INLINE_KEY_CAP`](crate::key::INLINE_KEY_CAP) become slices of
+/// `bytes` rather than copies, so a long-kv body costs no allocation per
+/// key.
+pub(crate) fn build_packet(
+    bytes: &Bytes,
+    body: usize,
+    packet: &PacketView,
+    mut pool: Option<&mut PacketPool>,
+) -> AskPacket {
+    match *packet {
+        PacketView::Data(ref d) => {
+            let n = d.short_slots() + d.medium_groups();
+            let mut slots = match pool.as_deref_mut() {
+                Some(p) => p.take_slots(n),
+                None => Vec::with_capacity(n),
+            };
+            for s in d.slots() {
+                slots.resize(s.index(), None);
+                slots.push(Some(KvTuple::new(s.key(), s.value())));
+            }
+            slots.resize(n, None);
+            AskPacket::Data(DataPacket {
+                task: d.task,
+                channel: d.channel,
+                seq: d.seq,
+                slots,
+            })
+        }
+        PacketView::LongKv {
+            task, channel, seq, ..
+        } => AskPacket::LongKv {
+            task,
+            channel,
+            seq,
+            entries: build_entries(bytes, body, packet, pool),
+        },
+        PacketView::Ack { channel, seq, ece } => AskPacket::Ack { channel, seq, ece },
+        PacketView::Fin { task, channel, seq } => AskPacket::Fin { task, channel, seq },
+        PacketView::Swap { task } => AskPacket::Swap { task },
+        PacketView::FetchRequest {
+            task,
+            scope,
+            fetch_seq,
+        } => AskPacket::FetchRequest {
+            task,
+            scope,
+            fetch_seq,
+        },
+        // Fetch-reply entries go behind a shared `Arc` (fetch cache,
+        // replayed replies), so their backing store is never pooled.
+        PacketView::FetchReply {
+            task, fetch_seq, ..
+        } => AskPacket::FetchReply {
+            task,
+            fetch_seq,
+            entries: Arc::new(build_entries(bytes, body, packet, None)),
+        },
+        PacketView::Control(ref msg) => AskPacket::Control(msg.clone()),
+    }
+}
+
+/// The owned entry list of a validated long-kv or fetch-reply body.
+fn build_entries(
+    bytes: &Bytes,
+    body: usize,
+    packet: &PacketView,
+    pool: Option<&mut PacketPool>,
+) -> Vec<KvTuple> {
+    let views = entry_views(bytes, body, packet).expect("entry-bearing kind");
+    // The count was validated against the body length, so it is safe to
+    // reserve exactly.
+    let mut out = match pool {
+        Some(p) => p.take_tuples(views.len()),
+        None => Vec::with_capacity(views.len()),
+    };
+    for e in views {
+        let key = Key::from_validated_bytes(bytes.slice(e.at..e.at + e.key.len()));
+        out.push(KvTuple::new(key, e.value));
+    }
+    out
+}
+
+/// Walks and validates a long-kv / fetch-reply entry list without
+/// building tuples. Returns the declared entry count.
 fn validate_entries(b: &[u8], total: usize, pos: &mut usize) -> Result<u32, CodecError> {
     need(total, *pos, 4)?;
     let count = rd_u32(b, *pos);
@@ -532,10 +620,10 @@ fn validate_entries(b: &[u8], total: usize, pos: &mut usize) -> Result<u32, Code
         need(total, *pos, len + 4)?;
         let key = &b[*pos..*pos + len];
         if key.is_empty() {
-            return Err(crate::key::KeyError::Empty.into());
+            return Err(KeyError::Empty.into());
         }
         if key.contains(&0) {
-            return Err(crate::key::KeyError::ContainsNul.into());
+            return Err(KeyError::ContainsNul.into());
         }
         *pos += len + 4;
     }
@@ -585,8 +673,8 @@ impl DataPacketView {
 
     /// True when the frame's declared slot layout equals `layout` — the
     /// precondition for aggregating in place and for
-    /// [`DataPacketView::residual_frame`] matching a scalar re-encode byte
-    /// for byte.
+    /// [`DataPacketView::residual_frame`] matching a re-encode of the
+    /// materialized residual byte for byte.
     pub fn matches_layout(&self, layout: &PacketLayout) -> bool {
         self.short_slots as usize == layout.short_slots()
             && self.medium_groups as usize == layout.medium_groups()
@@ -608,7 +696,7 @@ impl DataPacketView {
         SlotViews {
             view: self,
             index: 0,
-            offset: SLOTS_OFFSET,
+            offset: self.body as usize + DATA_SLOTS,
         }
     }
 
@@ -622,7 +710,16 @@ impl DataPacketView {
     ///
     /// Debug-asserts that `residual` only keeps slots this packet carries.
     pub fn residual_frame(&self, residual: u128) -> Bytes {
-        debug_assert_eq!(residual & !self.bitmap, 0, "residual must shrink the bitmap");
+        debug_assert_eq!(
+            residual & !self.bitmap,
+            0,
+            "residual must shrink the bitmap"
+        );
+        debug_assert_eq!(
+            self.body as usize, ENVELOPE_HEADER_BYTES,
+            "views of parsed frames only"
+        );
+        const SLOTS_OFFSET: usize = ENVELOPE_HEADER_BYTES + DATA_SLOTS;
         let slot_count = self.short_slots as usize + self.medium_groups as usize;
         let mut size = SLOTS_OFFSET;
         for i in 0..slot_count {
@@ -632,7 +729,7 @@ impl DataPacketView {
         }
         let mut buf = BytesMut::with_capacity(size);
         buf.put_u32(0); // checksum placeholder
-        buf.put_slice(&self.bytes[4..BITMAP_OFFSET]);
+        buf.put_slice(&self.bytes[4..ENVELOPE_HEADER_BYTES + DATA_BITMAP]);
         buf.put_u128(residual);
         let mut offset = SLOTS_OFFSET;
         for i in 0..slot_count {
@@ -735,10 +832,11 @@ impl<'a> Iterator for EntryViews<'a> {
         self.remaining -= 1;
         let b = self.bytes;
         let len = u16::from_be_bytes([b[self.offset], b[self.offset + 1]]) as usize;
-        let key = &b[self.offset + 2..self.offset + 2 + len];
-        let value = rd_u32(b, self.offset + 2 + len);
-        self.offset += 2 + len + 4;
-        Some(EntryView { key, value })
+        let at = self.offset + 2;
+        let key = &b[at..at + len];
+        let value = rd_u32(b, at + len);
+        self.offset = at + len + 4;
+        Some(EntryView { key, at, value })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -774,8 +872,7 @@ impl<'a> EntryView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_envelope, encode_envelope_parts};
-    use crate::packet::{AskPacket, DataPacket, KvTuple};
+    use crate::codec::{decode, encode_envelope_parts};
 
     fn kv(s: &str, v: u32) -> KvTuple {
         KvTuple::new(Key::from_str(s).unwrap(), v)
@@ -844,8 +941,8 @@ mod tests {
         let AskPacket::Data(p) = pkt else {
             unreachable!()
         };
-        // Drop slot 0, keep the rest — the scalar path would decode, clear
-        // the slot, and re-encode.
+        // Drop slot 0, keep the rest — the same bytes as materializing,
+        // clearing the slot, and re-encoding.
         let residual = p.bitmap() & !1u128;
         let mut rewritten = p.clone();
         rewritten.slots[0] = None;
@@ -893,7 +990,9 @@ mod tests {
         for p in packets {
             let bytes = encode_envelope_parts(1, 0, 0, 0, &p, &layout);
             let view = FrameView::parse(bytes.clone()).unwrap();
-            assert_eq!(view.materialize(), decode_envelope(bytes).unwrap());
+            assert_eq!(view.materialize(), Envelope::new(1, 0, p.clone()));
+            // The bare-body decoder runs the same walk from offset 0.
+            assert_eq!(decode(bytes.slice(ENVELOPE_HEADER_BYTES..)).unwrap(), p);
         }
     }
 
@@ -941,22 +1040,34 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_and_truncated_frames_agree_with_decode() {
+    fn corrupt_and_truncated_frames_are_rejected() {
         let layout = PacketLayout::paper_default();
         let pkt = sample_data(&layout);
         let bytes = encode_envelope_parts(1, 2, 0, 0, &pkt, &layout);
         for cut in 0..bytes.len() {
-            let a = FrameView::parse(bytes.slice(0..cut)).map(|v| v.materialize());
-            let b = decode_envelope(bytes.slice(0..cut));
-            assert_eq!(a, b, "cut at {cut}");
+            let want = if cut < ENVELOPE_HEADER_BYTES {
+                CodecError::Truncated
+            } else {
+                CodecError::ChecksumMismatch
+            };
+            let got = FrameView::parse(bytes.slice(0..cut)).err();
+            assert_eq!(got, Some(want), "cut at {cut}");
         }
         for byte_ix in 0..bytes.len() {
             let mut v = bytes.to_vec();
             v[byte_ix] ^= 0x40;
-            let flipped = Bytes::from(v);
-            let a = FrameView::parse(flipped.clone()).map(|w| w.materialize());
-            let b = decode_envelope(flipped);
-            assert_eq!(a, b, "flip at {byte_ix}");
+            let got = FrameView::parse(Bytes::from(v)).err();
+            assert_eq!(got, Some(CodecError::ChecksumMismatch), "flip at {byte_ix}");
+        }
+        // Past the checksum, the body walk still catches a frame whose
+        // declared layout lies about its length.
+        let body = encode_envelope_parts(1, 2, 0, 0, &pkt, &layout).slice(ENVELOPE_HEADER_BYTES..);
+        for cut in 0..body.len() {
+            assert_eq!(
+                decode(body.slice(0..cut)),
+                Err(CodecError::Truncated),
+                "body cut at {cut}"
+            );
         }
     }
 }

@@ -1,14 +1,16 @@
-//! Decode-never-panics fuzz corpus.
+//! Fuzz corpus for the wire format's one parser.
 //!
 //! Every packet kind is encoded under several layouts, then attacked with
-//! systematic truncation and single-bit flips; finally the decoders eat
-//! seeded random byte soup. The contract under test: a hostile or mangled
-//! buffer must produce `Err(CodecError)` (or, for raw bit flips that land
-//! on value bytes, a different valid packet) — never a panic, and never an
-//! `Ok` from a corrupted envelope, whose CRC must catch every flip.
+//! systematic truncation and single-bit flips; finally the parser eats
+//! seeded random byte soup. The contract under test: every encoder-produced
+//! frame round-trips; a hostile or mangled buffer produces
+//! `Err(CodecError)` (or, for raw bit flips that land on value bytes, a
+//! different valid packet) — never a panic, and never an `Ok` from a
+//! corrupted envelope, whose CRC must catch every flip.
 
 use ask_wire::codec::{
-    decode, decode_envelope, encode, encode_envelope, CodecError, Envelope,
+    crc32, decode, decode_envelope, encode, encode_envelope, CodecError, Envelope,
+    ENVELOPE_HEADER_BYTES,
 };
 use ask_wire::key::Key;
 use ask_wire::packet::{
@@ -19,47 +21,54 @@ use ask_wire::view::{FrameView, PacketView};
 use bytes::Bytes;
 use std::sync::Arc;
 
-/// The borrowed-view parser must agree with the full materializing decoder
-/// on *every* input: same accept/reject verdict, the same typed error on
-/// reject, and on accept the same envelope fields, the same packet after
-/// materialization, and — for data frames — the same header fields and
-/// `(key, value)` pairs read slot by slot straight off the wire bytes.
-fn assert_view_agrees_with_decode(bytes: Bytes) {
-    match (FrameView::parse(bytes.clone()), decode_envelope(bytes)) {
-        (Err(view_err), Err(dec_err)) => {
-            assert_eq!(view_err, dec_err, "view and decoder reject differently");
-        }
-        (Ok(view), Ok(env)) => {
-            assert_eq!(view.src(), env.src);
-            assert_eq!(view.dst(), env.dst);
-            assert_eq!(view.epoch(), env.epoch);
-            assert_eq!(view.flags(), env.flags);
-            if let (PacketView::Data(d), AskPacket::Data(p)) = (view.packet(), &env.packet) {
-                assert_eq!(d.task(), p.task);
-                assert_eq!(d.channel(), p.channel);
-                assert_eq!(d.seq(), p.seq);
-                assert_eq!(d.bitmap(), p.bitmap());
-                assert_eq!(d.occupied(), p.occupied());
-                let mut seen = 0usize;
-                for slot in d.slots() {
-                    let tuple = p.slots[slot.index()]
-                        .as_ref()
-                        .expect("view yields only occupied slots");
-                    assert_eq!(slot.key(), tuple.key, "slot {} key", slot.index());
-                    assert_eq!(slot.value(), tuple.value, "slot {} value", slot.index());
-                    assert_eq!(slot.key_len(), tuple.key.len());
-                    seen += 1;
-                }
-                assert_eq!(seen, p.occupied(), "view must visit every occupied slot");
+/// Every read a receiver can make of a parsed frame agrees with the
+/// envelope that was encoded: the addressing fields, the data header and
+/// each `(key, value)` slot read straight off the wire bytes, every entry
+/// of a long-kv or fetch-reply body, and the materialized envelope.
+fn assert_view_reads(view: &FrameView, env: &Envelope) {
+    assert_eq!(view.src(), env.src);
+    assert_eq!(view.dst(), env.dst);
+    assert_eq!(view.epoch(), env.epoch);
+    assert_eq!(view.flags(), env.flags);
+    match (view.packet(), &env.packet) {
+        (PacketView::Data(d), AskPacket::Data(p)) => {
+            assert_eq!(d.task(), p.task);
+            assert_eq!(d.channel(), p.channel);
+            assert_eq!(d.seq(), p.seq);
+            assert_eq!(d.bitmap(), p.bitmap());
+            assert_eq!(d.occupied(), p.occupied());
+            let mut seen = 0usize;
+            for slot in d.slots() {
+                let tuple = p.slots[slot.index()]
+                    .as_ref()
+                    .expect("view yields only occupied slots");
+                assert_eq!(slot.key(), tuple.key, "slot {} key", slot.index());
+                assert_eq!(slot.key_bytes(), tuple.key.as_bytes());
+                assert_eq!(slot.hash64(), tuple.key.hash64());
+                assert_eq!(slot.value(), tuple.value, "slot {} value", slot.index());
+                seen += 1;
             }
-            assert_eq!(view.materialize(), env, "materialized view diverges");
+            assert_eq!(seen, p.occupied(), "view must visit every occupied slot");
         }
-        (view, dec) => panic!(
-            "accept/reject verdicts diverge: view={:?} decode={:?}",
-            view.map(|v| v.materialize()),
-            dec,
-        ),
+        (_, AskPacket::LongKv { entries, .. }) => {
+            let got: Vec<KvTuple> = view
+                .entries()
+                .expect("long-kv bodies carry entries")
+                .map(|e| KvTuple::new(e.key(), e.value()))
+                .collect();
+            assert_eq!(&got, entries);
+        }
+        (_, AskPacket::FetchReply { entries, .. }) => {
+            let got: Vec<KvTuple> = view
+                .entries()
+                .expect("fetch replies carry entries")
+                .map(|e| KvTuple::new(e.key(), e.value()))
+                .collect();
+            assert_eq!(&got, entries.as_ref());
+        }
+        _ => assert!(view.entries().is_none()),
     }
+    assert_eq!(&view.materialize(), env, "materialized view diverges");
 }
 
 /// Tiny deterministic PRNG (splitmix64) so the corpus needs no rand dep.
@@ -199,10 +208,11 @@ fn every_envelope_truncation_is_an_error() {
         let bytes = encode_envelope(&env, &layout);
         assert_eq!(decode_envelope(bytes.clone()), Ok(env));
         for cut in 0..bytes.len() {
-            assert!(decode_envelope(bytes.slice(..cut)).is_err());
-            assert_view_agrees_with_decode(bytes.slice(..cut));
+            let err = FrameView::parse(bytes.slice(..cut)).expect_err("truncated frame");
+            if cut < ENVELOPE_HEADER_BYTES {
+                assert_eq!(err, CodecError::Truncated, "cut at {cut}");
+            }
         }
-        assert_view_agrees_with_decode(bytes);
     }
 }
 
@@ -215,12 +225,11 @@ fn every_single_bit_flip_in_an_envelope_is_caught_by_the_crc() {
             for bit in 0..8 {
                 let mut flipped = bytes.to_vec();
                 flipped[byte_ix] ^= 1 << bit;
-                let flipped = Bytes::from(flipped);
-                assert!(
-                    decode_envelope(flipped.clone()).is_err(),
+                assert_eq!(
+                    FrameView::parse(Bytes::from(flipped)).err(),
+                    Some(CodecError::ChecksumMismatch),
                     "flipping bit {bit} of byte {byte_ix} in {packet} must be rejected",
                 );
-                assert_view_agrees_with_decode(flipped);
             }
         }
     }
@@ -230,8 +239,12 @@ fn every_single_bit_flip_in_an_envelope_is_caught_by_the_crc() {
 fn view_accessors_agree_with_decode_on_every_valid_frame() {
     for layout in layouts() {
         for packet in corpus(&layout) {
-            let bytes = encode_envelope(&Envelope::new(2, 7, packet), &layout);
-            assert_view_agrees_with_decode(bytes);
+            let mut env = Envelope::new(2, 7, packet);
+            env.epoch = 3;
+            let bytes = encode_envelope(&env, &layout);
+            let view = FrameView::parse(bytes.clone()).expect("encoder output parses");
+            assert_view_reads(&view, &env);
+            assert_eq!(decode_envelope(bytes), Ok(env));
         }
     }
 }
@@ -282,7 +295,19 @@ fn random_byte_soup_never_panics_either_decoder() {
             buf[0] = (rng.next() % 12) as u8;
         }
         let _ = decode(Bytes::from(buf.clone()));
-        let _ = decode_envelope(Bytes::from(buf.clone()));
-        assert_view_agrees_with_decode(Bytes::from(buf));
+        // Wrap the same soup in an envelope with a valid checksum, so the
+        // parser's body walk sees it instead of stopping at the CRC.
+        let mut frame = vec![0u8; ENVELOPE_HEADER_BYTES];
+        frame[4..12].copy_from_slice(&rng.next().to_le_bytes()); // src, dst
+        frame.extend_from_slice(&buf);
+        let sum = crc32(&frame[4..]);
+        frame[..4].copy_from_slice(&sum.to_be_bytes());
+        for bytes in [Bytes::from(buf), Bytes::from(frame)] {
+            // Whatever the parser accepts must be fully readable.
+            if let Ok(view) = FrameView::parse(bytes) {
+                let env = view.materialize();
+                assert_view_reads(&view, &env);
+            }
+        }
     }
 }
