@@ -138,8 +138,8 @@ impl EventQueue {
         at.as_nanos() >> TICK_SHIFT
     }
 
-    /// Enqueues an event and returns the FIFO `seq` stamp it was assigned.
-    pub(crate) fn push(&mut self, at: SimTime, kind: EventKind) -> u64 {
+    /// Enqueues an event, stamping it with the next FIFO `seq`.
+    pub(crate) fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
@@ -154,7 +154,7 @@ impl EventQueue {
                 .current
                 .partition_point(|e| (e.at, e.seq) < (at, seq));
             self.current.insert(pos, ev);
-            return seq;
+            return;
         }
         // `at` is never before the last popped instant in simulation use;
         // the `max` clamps defensive out-of-order pushes into the earliest
@@ -165,16 +165,6 @@ impl EventQueue {
         } else {
             self.overflow.push(ev);
         }
-        seq
-    }
-
-    /// Consumes one `seq` stamp without storing an event. The parallel
-    /// replay uses this to reproduce the exact stamp a sequential `push`
-    /// would have assigned for events that were already executed in a lane.
-    pub(crate) fn bump_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
     }
 
     fn bucket_push(&mut self, tick: u64, ev: ScheduledEvent) {
@@ -264,13 +254,6 @@ impl EventQueue {
         let ev = self.current.pop_front()?;
         self.len -= 1;
         Some(ev)
-    }
-
-    /// Peeks at the next event without removing it. Used by the windowed
-    /// executor to decide where the current safe window ends.
-    pub(crate) fn peek(&mut self) -> Option<&ScheduledEvent> {
-        self.fill_current();
-        self.current.front()
     }
 
     /// Pops the next event only if it is a [`EventKind::Deliver`] addressed
