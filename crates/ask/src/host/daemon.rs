@@ -6,25 +6,28 @@ use crate::config::AskConfig;
 use crate::fasthash::FastMap;
 use crate::host::backoff::{splitmix64, BackoffPolicy};
 use crate::host::congestion::CongestionWindow;
-use crate::host::packetizer::{Packetizer, PendingStream};
+use crate::host::packetizer::{ClassifiedStream, Packetizer, StreamFrame};
 use crate::host::receiver::ReceiverWindow;
 use crate::host::table::{fold_entry, TaskTable};
 use crate::host::trace::{TraceEvent, TraceLog};
-use crate::host::window::SenderWindow;
+use crate::host::window::{FrameKind, SenderWindow};
 use crate::stats::{burst_bucket, HostStats};
 use crate::switch::aggregator::Observation;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
 use ask_simnet::time::{SimDuration, SimTime};
+use ask_wire::builder::{with_flags, BuiltFrame, FrameBuilder};
 use ask_wire::codec::{encode_envelope_parts, FLAG_NO_AGGREGATE};
-use ask_wire::pool::PacketPool;
 use ask_wire::constants::PACKET_OVERHEAD;
 use ask_wire::key::Key;
 use ask_wire::packet::{
-    AggregateOp, AskPacket, ChannelId, ControlMsg, DataPacket, FetchScope, KvTuple, SeqNo, TaskId,
+    AggregateOp, AskPacket, ChannelId, ControlMsg, FetchScope, KvTuple, SeqNo, TaskId,
 };
+use ask_wire::pool::PacketPool;
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::rc::Rc;
 
 pub use ask_wire::packet::CHANNEL_STRIDE;
 
@@ -54,17 +57,15 @@ fn token_announce(task: TaskId) -> u64 {
 
 /// An item queued on a data channel, waiting for the window.
 ///
-/// A stream stays classified-but-unpacketized until the window actually
-/// admits each packet ([`PendingStream`]); that way at most a window's worth
-/// of payload vectors is live at a time and ACK-recycled vectors flow
-/// straight back into the next packet, instead of the whole stream being
-/// materialized up front against a cold [`PacketPool`].
+/// A stream is classified once, into slot-ordered indices over the tuples
+/// `sent_streams` retains ([`ClassifiedStream`]); each frame is written
+/// straight into wire bytes only when the window admits it.
 #[derive(Debug)]
 enum QueuedItem {
     Stream {
         task: TaskId,
         dst: u32,
-        stream: PendingStream,
+        stream: ClassifiedStream,
     },
     Fin {
         task: TaskId,
@@ -164,8 +165,9 @@ pub struct AskDaemon {
     /// switch restarts under a new epoch. A sender cannot know whether the
     /// receiver already banked its contribution (switch aggregators are
     /// wiped by the crash), so resynchronization replays conservatively;
-    /// receivers dedup via the epoch gate and completion checks.
-    sent_streams: FastMap<TaskId, (u32, Vec<KvTuple>)>,
+    /// receivers dedup via the epoch gate and completion checks. Shared
+    /// with the stream being sent, so retaining costs no copy.
+    sent_streams: FastMap<TaskId, (u32, Rc<Vec<KvTuple>>)>,
     /// Sender side: tasks whose FIN has been acknowledged.
     send_done: FastMap<TaskId, SimTime>,
     /// Receiver side.
@@ -176,8 +178,9 @@ pub struct AskDaemon {
     cpu_busy: SimDuration,
     /// Tuples received for tasks this daemon never registered (misrouted).
     orphan_tuples: u64,
-    /// Recycled packet bodies: decode and packetize draw from here; ACKed
-    /// window entries and merged receive payloads flow back.
+    /// Recycled packet bodies for the receive fallbacks that materialize a
+    /// frame (long-kv bodies, foreign-layout data). The send path never
+    /// touches it.
     pool: PacketPool,
     /// Highest switch epoch this daemon has seen. Frames from older epochs
     /// (pre-crash verdicts, ACKs, fetch replies) are dropped at ingress.
@@ -344,8 +347,14 @@ impl AskDaemon {
         self.ensure_init(ctx);
         if let Some(&receiver) = self.announced.get(&task) {
             self.dispatch_send(task, receiver, tuples, ctx);
-        } else {
-            self.pending_sends.entry(task).or_default().extend(tuples);
+            return;
+        }
+        // The first stream waits as it is; only a second one is appended.
+        match self.pending_sends.entry(task) {
+            Entry::Occupied(mut e) => e.get_mut().extend(tuples),
+            Entry::Vacant(e) => {
+                e.insert(tuples);
+            }
         }
     }
 
@@ -505,13 +514,7 @@ impl AskDaemon {
         self.known_epoch = epoch;
         self.degraded = false;
         for ch in &mut self.channels {
-            for e in ch.window.drain_reset() {
-                match e.packet {
-                    AskPacket::Data(pkt) => self.pool.recycle_slots(pkt.slots),
-                    AskPacket::LongKv { entries, .. } => self.pool.recycle_tuples(entries),
-                    _ => {}
-                }
-            }
+            ch.window.drain_reset();
             ch.queue.clear();
             ch.outstanding.clear();
             ch.pump_armed = false;
@@ -545,10 +548,10 @@ impl AskDaemon {
             );
             ctx.set_timer(self.config.fetch_timeout, token_region(task));
         }
-        let mut replay: Vec<(TaskId, u32, Vec<KvTuple>)> = self
+        let mut replay: Vec<(TaskId, u32, Rc<Vec<KvTuple>>)> = self
             .sent_streams
             .iter()
-            .map(|(&t, (r, tuples))| (t, *r, tuples.clone()))
+            .map(|(&t, (r, tuples))| (t, *r, Rc::clone(tuples)))
             .collect();
         replay.sort_unstable_by_key(|&(t, ..)| t.0);
         for (task, receiver, tuples) in replay {
@@ -577,12 +580,20 @@ impl AskDaemon {
         ctx: &mut Context<'_>,
     ) {
         // Retain the stream for crash-epoch replay before dispatching it.
-        let retained = self
-            .sent_streams
-            .entry(task)
-            .or_insert_with(|| (receiver, Vec::new()));
-        retained.0 = receiver;
-        retained.1.extend(tuples.iter().cloned());
+        // The first stream of a task is shared, not copied; a later one is
+        // appended (copy-on-write if the first is still being sent), so a
+        // replay resends everything as one stream.
+        let tuples = Rc::new(tuples);
+        match self.sent_streams.entry(task) {
+            Entry::Occupied(e) => {
+                let retained = e.into_mut();
+                retained.0 = receiver;
+                Rc::make_mut(&mut retained.1).extend(tuples.iter().cloned());
+            }
+            Entry::Vacant(e) => {
+                e.insert((receiver, Rc::clone(&tuples)));
+            }
+        }
         self.dispatch_stream(task, receiver, tuples, ctx);
     }
 
@@ -590,7 +601,7 @@ impl AskDaemon {
         &mut self,
         task: TaskId,
         receiver: u32,
-        tuples: Vec<KvTuple>,
+        tuples: Rc<Vec<KvTuple>>,
         ctx: &mut Context<'_>,
     ) {
         if receiver == self.my_index() {
@@ -605,7 +616,7 @@ impl AskDaemon {
                 return;
             };
             let op = rt.op;
-            for t in tuples {
+            for t in tuples.iter() {
                 rt.residual.merge(&t.key, t.value, op);
             }
             rt.fins.insert(receiver);
@@ -613,22 +624,7 @@ impl AskDaemon {
             return;
         }
         let t0 = self.time_phases.then(std::time::Instant::now);
-        let stream = self.packetizer.begin_stream(tuples);
-        // Pre-warm the pool from the stream-size hints. At most a window's
-        // worth of payloads is ever live per channel, so topping the free
-        // lists up to min(stream, W) lets even the *first* window's takes
-        // hit the pool — the bulk-packetize cold spot from the pooled-memory
-        // rework. Steady state is unaffected: recycled vectors already
-        // satisfy the target and the top-up is a no-op.
-        let window = self.config.window;
-        self.pool.prewarm_slots(
-            stream.data_packet_count().min(window),
-            self.packetizer.layout().slot_count(),
-        );
-        self.pool.prewarm_tuples(
-            stream.long_batch_count().min(window),
-            self.config.long_kv_batch,
-        );
+        let stream = self.packetizer.classify(tuples);
         if let Some(t0) = t0 {
             self.packetize_ns
                 .set(self.packetize_ns.get() + t0.elapsed().as_nanos() as u64);
@@ -651,6 +647,8 @@ impl AskDaemon {
 
     fn pump(&mut self, ch_ix: usize, ctx: &mut Context<'_>) {
         let now = ctx.now();
+        let me = self.my_index();
+        let layout = self.config.layout;
         loop {
             let ch = &mut self.channels[ch_ix];
             if ch.queue.is_empty() || !ch.window.can_send() {
@@ -677,67 +675,55 @@ impl AskDaemon {
             }
             let channel = ch.id;
             let seq = SeqNo(ch.window.next_seq());
-            // A stream builds its next packet here, drawing the payload from
-            // the pool at the last moment; a drained stream is popped and the
-            // loop retries with the next queued item.
-            let (packet, dst, task, gates_fin) = match ch.queue.front_mut() {
+            // A stream writes its next frame here, straight from the
+            // retained tuples into wire bytes; a drained stream is popped
+            // and the loop retries with the next queued item.
+            let (frame, kind, task) = match ch.queue.front_mut() {
                 Some(QueuedItem::Stream { task, dst, stream }) => {
-                    let (task, dst) = (*task, *dst);
+                    let task = *task;
                     let t0 = self.time_phases.then(std::time::Instant::now);
-                    let built = if let Some(slots) = stream.next_data_payload(&mut self.pool) {
-                        Some(AskPacket::Data(DataPacket {
-                            task,
-                            channel,
-                            seq,
-                            slots,
-                        }))
-                    } else {
-                        stream
-                            .next_long_batch(&mut self.pool)
-                            .map(|entries| AskPacket::LongKv {
-                                task,
-                                channel,
-                                seq,
-                                entries,
-                            })
+                    let builder = FrameBuilder::new(me, *dst, self.known_epoch, layout);
+                    let built = match stream.next_frame() {
+                        Some(StreamFrame::Data(slots)) => {
+                            let flags = if self.degraded { FLAG_NO_AGGREGATE } else { 0 };
+                            let frame = builder.data(flags, task, channel, seq, slots);
+                            Some((frame, FrameKind::Data))
+                        }
+                        Some(StreamFrame::LongKv(entries)) => {
+                            let frame = builder.long_kv(task, channel, seq, entries);
+                            Some((frame, FrameKind::LongKv))
+                        }
+                        None => None,
                     };
                     if let Some(t0) = t0 {
                         self.packetize_ns
                             .set(self.packetize_ns.get() + t0.elapsed().as_nanos() as u64);
                     }
-                    match built {
-                        Some(packet) => (packet, dst, task, true),
-                        None => {
-                            ch.queue.pop_front();
-                            continue;
-                        }
-                    }
+                    let Some((frame, kind)) = built else {
+                        ch.queue.pop_front();
+                        continue;
+                    };
+                    let frame = frame.expect("classified tuples fit their slots and keys");
+                    (frame, kind, task)
                 }
                 Some(QueuedItem::Fin { task, dst }) => {
                     let (task, dst) = (*task, *dst);
                     ch.queue.pop_front();
-                    (AskPacket::Fin { task, channel, seq }, dst, task, false)
+                    let fin = AskPacket::Fin { task, channel, seq };
+                    let bytes = encode_envelope_parts(me, dst, self.known_epoch, 0, &fin, &layout);
+                    let wire = fin.wire_bytes(&layout);
+                    (BuiltFrame { bytes, wire }, FrameKind::Fin, task)
                 }
                 None => unreachable!("queue checked non-empty"),
             };
             let ch = &mut self.channels[ch_ix];
-            if gates_fin {
+            if kind != FrameKind::Fin {
                 *ch.outstanding.entry(task).or_insert(0) += 1;
             }
-            let me = self.my_index();
-            let layout = self.config.layout;
-            let wire = packet.wire_bytes(&layout);
-            let flags = if self.degraded && matches!(packet, AskPacket::Data(_)) {
-                FLAG_NO_AGGREGATE
-            } else {
-                0
-            };
-            // One encode per packet: the window keeps the exact bytes the
-            // frame carries, so retransmissions skip the codec entirely and
-            // the packet itself moves into the window without a clone.
-            let bytes = encode_envelope_parts(me, dst, self.known_epoch, flags, &packet, &layout);
-            let ch = &mut self.channels[ch_ix];
-            ch.window.register(packet, bytes.clone(), wire, dst, Some(task));
+            let BuiltFrame { bytes, wire } = frame;
+            // The window keeps the exact bytes the frame carries, so
+            // retransmissions skip the codec entirely.
+            ch.window.register(kind, task, bytes.clone(), wire);
             ch.busy_until = now + self.config.cpu_per_packet;
             self.cpu_busy += self.config.cpu_per_packet;
             self.stats.packets_sent += 1;
@@ -769,57 +755,35 @@ impl AskDaemon {
                 cc.on_ecn();
             }
         }
-        // The ACK retires the window entry, so its packet body is dead
-        // memory — recycle the backing vectors into the pool.
-        match inflight.packet {
-            AskPacket::Data(pkt) => {
-                if let Some(task) = inflight.task {
-                    let ch = &mut self.channels[ch_ix];
-                    let left = ch.outstanding.entry(task).or_insert(1);
-                    *left = left.saturating_sub(1);
-                }
-                self.pool.recycle_slots(pkt.slots);
+        match inflight.kind {
+            FrameKind::Data | FrameKind::LongKv => {
+                let ch = &mut self.channels[ch_ix];
+                let left = ch.outstanding.entry(inflight.task).or_insert(1);
+                *left = left.saturating_sub(1);
             }
-            AskPacket::LongKv { entries, .. } => {
-                if let Some(task) = inflight.task {
-                    let ch = &mut self.channels[ch_ix];
-                    let left = ch.outstanding.entry(task).or_insert(1);
-                    *left = left.saturating_sub(1);
-                }
-                self.pool.recycle_tuples(entries);
+            FrameKind::Fin => {
+                self.send_done.insert(inflight.task, ctx.now());
             }
-            AskPacket::Fin { task, .. } => {
-                self.send_done.insert(task, ctx.now());
-            }
-            _ => {}
         }
         self.pump(ch_ix, ctx);
     }
 
     fn retransmit(&mut self, ch_ix: usize, seq: u64, ctx: &mut Context<'_>) {
-        let me = self.my_index();
-        let layout = self.config.layout;
-        let epoch = self.known_epoch;
         let escalate_after = self.config.escalate_after;
         let mut escalated = false;
-        // Resend the stored wire bytes verbatim — no re-encode, no clone of
-        // the packet body — unless this attempt crosses the escalation
-        // threshold, in which case data packets are re-encoded once with the
-        // no-aggregate flag (degraded end-to-end pass-through).
+        // Resend the stored wire bytes verbatim — no re-encode — unless this
+        // attempt crosses the escalation threshold, in which case a data
+        // frame's flags byte is patched once to no-aggregate (degraded
+        // end-to-end pass-through). Every in-flight frame carries the
+        // current epoch (a resync empties the window), so the patch equals
+        // a re-encode.
         let Some((bytes, wire, attempt)) = self.channels[ch_ix].window.retransmit(seq).map(|e| {
             if let Some(k) = escalate_after {
                 if !e.degraded && e.retransmits >= k {
                     e.degraded = true;
                     escalated = true;
-                    if matches!(e.packet, AskPacket::Data(_)) {
-                        e.encoded = encode_envelope_parts(
-                            me,
-                            e.dst,
-                            epoch,
-                            FLAG_NO_AGGREGATE,
-                            &e.packet,
-                            &layout,
-                        );
+                    if e.kind == FrameKind::Data {
+                        e.encoded = with_flags(&e.encoded, FLAG_NO_AGGREGATE);
                     }
                 }
             }
@@ -1645,6 +1609,7 @@ mod tests {
     fn completion_frees_the_residual_table_and_late_duplicates_still_ack() {
         use crate::service::{reference_aggregate, AskServiceBuilder};
         use ask_wire::codec::{encode_envelope, Envelope};
+        use ask_wire::packet::DataPacket;
 
         let cfg = AskConfig::tiny();
         let layout = cfg.layout;

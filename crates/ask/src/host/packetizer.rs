@@ -8,11 +8,17 @@
 //! avoiding the single-key-multiple-spot problem.
 //!
 //! Long keys bypass the switch in dedicated batch packets.
+//!
+//! A stream is classified once ([`Packetizer::classify`]): a counting sort
+//! of tuple *indices* by slot, over a tuple vector the sender shares with
+//! its replay buffer. Frames are then cut one at a time as borrowed slot
+//! lists ([`StreamFrame`]) that the wire crate's `FrameBuilder` writes
+//! straight into frame bytes; [`Packetizer::packetize`] materializes the
+//! same frames as owned payloads for analyses and benchmarks.
 
 use ask_wire::key::KeyClass;
 use ask_wire::packet::{KvTuple, PacketLayout};
-use ask_wire::pool::PacketPool;
-use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Output of packetizing one task's key-value stream.
 #[derive(Debug, Clone, Default)]
@@ -103,146 +109,186 @@ impl Packetizer {
         }
     }
 
-    /// Packs a stream of tuples into packets.
+    /// Classifies a stream once into slot-ordered tuple indices: a
+    /// counting sort by slot (stream order kept within each slot), long
+    /// keys last. Frames are then produced one at a time by
+    /// [`ClassifiedStream::next_frame`], borrowing the tuples, so a sender
+    /// holds a stream as one shared vector plus four bytes per tuple.
     ///
-    /// Tuples within each slot keep their stream order; a packet takes the
-    /// next tuple from every non-empty slot queue, so skew shows up as blank
-    /// slots rather than reordering (§5.3, Figure 8(b)).
-    pub fn packetize<I>(&self, tuples: I) -> PacketizedStream
-    where
-        I: IntoIterator<Item = KvTuple>,
-    {
-        self.packetize_inner(tuples, None)
-    }
-
-    /// [`Packetizer::packetize`] drawing payload vectors from `pool` instead
-    /// of allocating, so a steady-state sender recycles the same backing
-    /// stores across packetize → encode → ACK cycles.
-    pub fn packetize_pooled<I>(&self, tuples: I, pool: &mut PacketPool) -> PacketizedStream
-    where
-        I: IntoIterator<Item = KvTuple>,
-    {
-        self.packetize_inner(tuples, Some(pool))
-    }
-
-    /// Classifies a stream into per-slot queues but defers packet
-    /// construction: each payload is drawn from the caller's [`PacketPool`]
-    /// only when [`PendingStream::next_data_payload`] /
-    /// [`PendingStream::next_long_batch`] is called. The packets produced are
-    /// identical — contents and order — to [`Packetizer::packetize`]; only
-    /// the allocation timing differs. This is what lets a sender keep at most
-    /// a window's worth of payload vectors live (and therefore recyclable)
-    /// instead of materializing the whole stream up front against a cold
-    /// pool.
-    pub fn begin_stream<I>(&self, tuples: I) -> PendingStream
-    where
-        I: IntoIterator<Item = KvTuple>,
-    {
+    /// # Panics
+    ///
+    /// Panics if the stream holds `u32::MAX` tuples or more.
+    pub fn classify(&self, tuples: Rc<Vec<KvTuple>>) -> ClassifiedStream {
         let slots = self.layout.slot_count();
-        let mut queues: Vec<VecDeque<KvTuple>> = vec![VecDeque::new(); slots];
-        let mut long_queue: VecDeque<KvTuple> = VecDeque::new();
-        for tuple in tuples {
-            match self.slot_for(&tuple) {
-                Some(s) => queues[s].push_back(tuple),
-                None => long_queue.push_back(tuple),
-            }
+        let n = u32::try_from(tuples.len()).expect("a stream holds fewer than 2^32 tuples");
+        // Bucket `slots` holds the long keys; a layout has at most 128
+        // slots, so every bucket fits a byte.
+        let bucket: Vec<u8> = tuples
+            .iter()
+            .map(|t| self.slot_for(t).unwrap_or(slots) as u8)
+            .collect();
+        let mut starts = vec![0u32; slots + 2];
+        for &b in &bucket {
+            starts[b as usize + 1] += 1;
         }
-        PendingStream {
-            queues,
-            long_queue,
+        let data_frames = starts[1..=slots].iter().copied().max().unwrap_or(0);
+        for s in 1..starts.len() {
+            starts[s] += starts[s - 1];
+        }
+        let mut fill = starts.clone();
+        let mut order = vec![0u32; n as usize];
+        for (i, &b) in bucket.iter().enumerate() {
+            let at = &mut fill[b as usize];
+            order[*at as usize] = i as u32;
+            *at += 1;
+        }
+        let next_long = starts[slots];
+        ClassifiedStream {
+            tuples,
+            order,
+            starts,
+            data_frames,
+            next_data: 0,
+            next_long,
             long_kv_batch: self.long_kv_batch,
         }
     }
 
-    fn packetize_inner<I>(&self, tuples: I, mut pool: Option<&mut PacketPool>) -> PacketizedStream
+    /// Packs a stream of tuples into packets.
+    ///
+    /// Tuples within each slot keep their stream order; a packet takes the
+    /// next tuple from every non-empty slot, so skew shows up as blank
+    /// slots rather than reordering (§5.3, Figure 8(b)). The packets are
+    /// exactly the frames [`Packetizer::classify`] yields, materialized.
+    pub fn packetize<I>(&self, tuples: I) -> PacketizedStream
     where
         I: IntoIterator<Item = KvTuple>,
     {
-        let slots = self.layout.slot_count();
-        let mut queues: Vec<VecDeque<KvTuple>> = vec![VecDeque::new(); slots];
-        let mut long_queue: Vec<KvTuple> = Vec::new();
-        for tuple in tuples {
-            match self.slot_for(&tuple) {
-                Some(s) => queues[s].push_back(tuple),
-                None => long_queue.push(tuple),
-            }
-        }
-
+        let mut stream = self.classify(Rc::new(tuples.into_iter().collect()));
         let mut out = PacketizedStream::default();
-        while queues.iter().any(|q| !q.is_empty()) {
-            let mut payload = match pool.as_deref_mut() {
-                Some(p) => p.take_slots(slots),
-                None => Vec::with_capacity(slots),
-            };
-            payload.extend(queues.iter_mut().map(|q| q.pop_front()));
-            out.data_payloads.push(payload);
-        }
-        for chunk in long_queue.chunks(self.long_kv_batch) {
-            let mut batch = match pool.as_deref_mut() {
-                Some(p) => p.take_tuples(chunk.len()),
-                None => Vec::with_capacity(chunk.len()),
-            };
-            batch.extend_from_slice(chunk);
-            out.long_batches.push(batch);
+        while let Some(frame) = stream.next_frame() {
+            match frame {
+                StreamFrame::Data(slots) => {
+                    let mut payload = vec![None; self.layout.slot_count()];
+                    for (i, t) in slots {
+                        payload[i] = Some(t.clone());
+                    }
+                    out.data_payloads.push(payload);
+                }
+                StreamFrame::LongKv(entries) => out.long_batches.push(entries.cloned().collect()),
+            }
         }
         out
     }
 }
 
-/// A classified stream whose packets are built lazily, one at a time, from a
-/// caller-supplied [`PacketPool`]. Created by [`Packetizer::begin_stream`].
-#[derive(Debug, Clone)]
-pub struct PendingStream {
-    queues: Vec<VecDeque<KvTuple>>,
-    long_queue: VecDeque<KvTuple>,
+/// A stream classified by [`Packetizer::classify`]: the tuples, shared with
+/// whoever else retains them, plus their indices grouped by slot. Data
+/// frame `k` carries the `k`-th tuple of every slot that has one; long-key
+/// batches follow, in stream order.
+#[derive(Debug)]
+pub struct ClassifiedStream {
+    tuples: Rc<Vec<KvTuple>>,
+    /// Tuple indices, slot 0's first, long keys last.
+    order: Vec<u32>,
+    /// `order[starts[s]..starts[s + 1]]` are slot `s`'s tuples; the last
+    /// bucket holds the long keys.
+    starts: Vec<u32>,
+    /// Data frames in the stream: the longest slot bucket.
+    data_frames: u32,
+    /// Data frames emitted so far.
+    next_data: u32,
+    /// Position in `order` of the next long key to emit.
+    next_long: u32,
     long_kv_batch: usize,
 }
 
-impl PendingStream {
-    /// Builds the next data payload from the slot queues, or `None` when the
-    /// data portion of the stream is exhausted.
-    pub fn next_data_payload(&mut self, pool: &mut PacketPool) -> Option<Vec<Option<KvTuple>>> {
-        if self.queues.iter().all(|q| q.is_empty()) {
+/// One frame's worth of a [`ClassifiedStream`], borrowing its tuples.
+#[derive(Debug)]
+pub enum StreamFrame<'a> {
+    /// The occupied slots of a data frame, in slot order.
+    Data(DataSlots<'a>),
+    /// The tuples of a long-key bypass batch, in stream order.
+    LongKv(LongEntries<'a>),
+}
+
+/// `(slot index, tuple)` pairs of one data frame, in increasing slot order.
+#[derive(Debug, Clone)]
+pub struct DataSlots<'a> {
+    tuples: &'a [KvTuple],
+    order: &'a [u32],
+    /// The slot buckets' bounds only (the long-key bucket is cut off).
+    starts: &'a [u32],
+    frame: u32,
+    slot: usize,
+}
+
+/// The tuples of one long-key batch.
+#[derive(Debug, Clone)]
+pub struct LongEntries<'a> {
+    tuples: &'a [KvTuple],
+    indices: std::slice::Iter<'a, u32>,
+}
+
+impl ClassifiedStream {
+    /// The next frame, or `None` once the stream is exhausted: every data
+    /// frame first, then the long-key batches.
+    pub fn next_frame(&mut self) -> Option<StreamFrame<'_>> {
+        let slots = self.starts.len() - 2;
+        if self.next_data < self.data_frames {
+            let frame = self.next_data;
+            self.next_data += 1;
+            return Some(StreamFrame::Data(DataSlots {
+                tuples: &self.tuples,
+                order: &self.order,
+                starts: &self.starts[..=slots],
+                frame,
+                slot: 0,
+            }));
+        }
+        let from = self.next_long as usize;
+        let long_end = self.order.len();
+        if from >= long_end {
             return None;
         }
-        let mut payload = pool.take_slots(self.queues.len());
-        payload.extend(self.queues.iter_mut().map(|q| q.pop_front()));
-        Some(payload)
-    }
-
-    /// Builds the next long-key bypass batch, or `None` when none remain.
-    pub fn next_long_batch(&mut self, pool: &mut PacketPool) -> Option<Vec<KvTuple>> {
-        if self.long_queue.is_empty() {
-            return None;
-        }
-        let n = self.long_queue.len().min(self.long_kv_batch);
-        let mut batch = pool.take_tuples(n);
-        batch.extend(self.long_queue.drain(..n));
-        Some(batch)
-    }
-
-    /// Data packets this stream will still emit (the longest slot queue
-    /// decides, since every packet takes one tuple from each non-empty
-    /// queue). A size hint for pre-warming the sender's [`PacketPool`].
-    pub fn data_packet_count(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).max().unwrap_or(0)
-    }
-
-    /// Long-key bypass batches this stream will still emit.
-    pub fn long_batch_count(&self) -> usize {
-        self.long_queue.len().div_ceil(self.long_kv_batch)
-    }
-
-    /// True when both the data and long-key portions are drained.
-    pub fn is_empty(&self) -> bool {
-        self.long_queue.is_empty() && self.queues.iter().all(|q| q.is_empty())
-    }
-
-    /// Tuples not yet emitted as packets.
-    pub fn remaining_tuples(&self) -> usize {
-        self.long_queue.len() + self.queues.iter().map(|q| q.len()).sum::<usize>()
+        let to = long_end.min(from + self.long_kv_batch);
+        self.next_long = to as u32;
+        Some(StreamFrame::LongKv(LongEntries {
+            tuples: &self.tuples,
+            indices: self.order[from..to].iter(),
+        }))
     }
 }
+
+impl<'a> Iterator for DataSlots<'a> {
+    type Item = (usize, &'a KvTuple);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.slot + 1 < self.starts.len() {
+            let s = self.slot;
+            self.slot += 1;
+            let at = self.starts[s] + self.frame;
+            if at < self.starts[s + 1] {
+                return Some((s, &self.tuples[self.order[at as usize] as usize]));
+            }
+        }
+        None
+    }
+}
+
+impl<'a> Iterator for LongEntries<'a> {
+    type Item = &'a KvTuple;
+
+    fn next(&mut self) -> Option<&'a KvTuple> {
+        self.indices.next().map(|&i| &self.tuples[i as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.indices.size_hint()
+    }
+}
+
+impl ExactSizeIterator for LongEntries<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -336,35 +382,26 @@ mod tests {
         let _ = Packetizer::new(PacketLayout::paper_default(), 0);
     }
 
-    #[test]
-    fn pooled_packetize_matches_plain_and_reuses_memory() {
-        let p = packetizer();
-        let tuples = || {
-            vec![
-                kv("cat", 1),
-                kv("cat", 2),
-                kv("dog", 3),
-                kv("maples", 4),
-                kv("waytoolongkey", 5),
-            ]
-        };
-        let plain = p.packetize(tuples());
-        let mut pool = PacketPool::new();
-        let pooled = p.packetize_pooled(tuples(), &mut pool);
-        assert_eq!(plain.data_payloads, pooled.data_payloads);
-        assert_eq!(plain.long_batches, pooled.long_batches);
-
-        // Recycle and repacketize: every payload now comes from the pool.
-        for v in pooled.data_payloads {
-            pool.recycle_slots(v);
+    /// The per-slot queue packetizer the classifier replaced: one FIFO per
+    /// slot, each data packet pops the head of every queue, long keys are
+    /// batched in stream order.
+    fn queue_reference(p: &Packetizer, tuples: &[KvTuple]) -> PacketizedStream {
+        let slots = p.layout().slot_count();
+        let mut queues = vec![std::collections::VecDeque::new(); slots];
+        let mut long = Vec::new();
+        for t in tuples {
+            match p.slot_for(t) {
+                Some(s) => queues[s].push_back(t.clone()),
+                None => long.push(t.clone()),
+            }
         }
-        for v in pooled.long_batches {
-            pool.recycle_tuples(v);
+        let mut out = PacketizedStream::default();
+        while queues.iter().any(|q| !q.is_empty()) {
+            out.data_payloads
+                .push(queues.iter_mut().map(|q| q.pop_front()).collect());
         }
-        let before_hits = pool.hits();
-        let again = p.packetize_pooled(tuples(), &mut pool);
-        assert_eq!(plain.data_payloads, again.data_payloads);
-        assert!(pool.hits() > before_hits, "second round should hit the pool");
+        out.long_batches = long.chunks(p.long_kv_batch).map(<[_]>::to_vec).collect();
+        out
     }
 
     #[test]
@@ -373,39 +410,47 @@ mod tests {
         let tuples: Vec<KvTuple> = (0..40)
             .map(|i| KvTuple::new(Key::from_u64(i % 11), i as u32))
             .chain((0..7).map(|i| kv("waytoolongkey", i)))
+            .chain((0..5).map(|i| kv("maples", i)))
             .collect();
+        let want = queue_reference(&p, &tuples);
         let eager = p.packetize(tuples.clone());
-        let mut pool = PacketPool::new();
-        let mut pending = p.begin_stream(tuples);
-        assert_eq!(pending.remaining_tuples(), 47);
-        let mut data = Vec::new();
-        while let Some(payload) = pending.next_data_payload(&mut pool) {
-            data.push(payload);
+        assert_eq!(eager.data_payloads, want.data_payloads);
+        assert_eq!(eager.long_batches, want.long_batches);
+
+        // The lazy stream yields the same frames one at a time, borrowing
+        // the shared tuples.
+        let shared = Rc::new(tuples);
+        let mut stream = p.classify(Rc::clone(&shared));
+        let (mut data, mut long) = (Vec::new(), Vec::new());
+        while let Some(frame) = stream.next_frame() {
+            match frame {
+                StreamFrame::Data(slots) => {
+                    let mut payload = vec![None; p.layout().slot_count()];
+                    for (i, t) in slots {
+                        payload[i] = Some(t.clone());
+                    }
+                    assert!(long.is_empty(), "data frames come first");
+                    data.push(payload);
+                }
+                StreamFrame::LongKv(entries) => long.push(entries.cloned().collect::<Vec<_>>()),
+            }
         }
-        let mut long = Vec::new();
-        while let Some(batch) = pending.next_long_batch(&mut pool) {
-            long.push(batch);
-        }
-        assert!(pending.is_empty());
-        assert_eq!(pending.remaining_tuples(), 0);
-        assert_eq!(eager.data_payloads, data);
-        assert_eq!(eager.long_batches, long);
+        assert!(
+            stream.next_frame().is_none(),
+            "an exhausted stream stays empty"
+        );
+        assert_eq!(data, want.data_payloads);
+        assert_eq!(long, want.long_batches);
+        assert_eq!(
+            Rc::strong_count(&shared),
+            2,
+            "classification copies no tuple"
+        );
     }
 
     #[test]
-    fn lazy_stream_recycles_between_packets() {
-        let p = Packetizer::new(PacketLayout::short_only(8), 8);
-        let tuples: Vec<KvTuple> = vec![kv("hot", 1); 50];
-        let mut pool = PacketPool::new();
-        let mut pending = p.begin_stream(tuples);
-        let mut built = 0u64;
-        while let Some(payload) = pending.next_data_payload(&mut pool) {
-            built += 1;
-            pool.recycle_slots(payload);
-        }
-        assert_eq!(built, 50);
-        // First take allocates; every later take reuses the recycled vector.
-        assert_eq!(pool.misses(), 1);
-        assert_eq!(pool.hits(), 49);
+    fn empty_stream_has_no_frames() {
+        let mut stream = packetizer().classify(Rc::new(Vec::new()));
+        assert!(stream.next_frame().is_none());
     }
 }

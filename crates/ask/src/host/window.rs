@@ -5,24 +5,35 @@
 //! sends. Out-of-order ACKs never trigger retransmission (the two ACK
 //! sources naturally reorder); only the fine-grained timeout does.
 
-use ask_wire::packet::{AskPacket, TaskId};
+use ask_wire::packet::TaskId;
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
-/// One unacknowledged packet.
+/// What an in-flight frame carries, as far as ACK handling and the
+/// no-aggregate escalation need to know.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameKind {
+    /// A slotted data frame: gates its task's FIN, escalates to
+    /// no-aggregate pass-through.
+    Data,
+    /// A long-key bypass batch: gates its task's FIN.
+    LongKv,
+    /// A task's FIN: its ACK ends the task's sending phase.
+    Fin,
+}
+
+/// One unacknowledged frame.
 #[derive(Debug, Clone)]
 pub struct InFlight {
-    /// The packet, kept for ACK bookkeeping (task/FIN dispatch).
-    pub packet: AskPacket,
     /// The envelope as it went on the wire. Retransmissions resend these
     /// bytes directly (an O(1) refcount bump) instead of re-encoding.
     pub encoded: Bytes,
     /// On-wire size of the frame carrying `encoded`.
     pub wire: usize,
-    /// Destination node index.
-    pub dst: u32,
-    /// The task the packet belongs to (for FIN gating), if any.
-    pub task: Option<TaskId>,
+    /// What the frame carries.
+    pub kind: FrameKind,
+    /// The task the frame belongs to.
+    pub task: TaskId,
     /// Number of retransmissions so far.
     pub retransmits: u32,
     /// Entry was escalated to degraded no-aggregate pass-through after the
@@ -125,14 +136,7 @@ impl SenderWindow {
     /// # Panics
     ///
     /// Panics if the window is full ([`SenderWindow::can_send`] is false).
-    pub fn register(
-        &mut self,
-        packet: AskPacket,
-        encoded: Bytes,
-        wire: usize,
-        dst: u32,
-        task: Option<TaskId>,
-    ) -> u64 {
+    pub fn register(&mut self, kind: FrameKind, task: TaskId, encoded: Bytes, wire: usize) -> u64 {
         assert!(self.can_send(), "window full");
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
@@ -140,10 +144,9 @@ impl SenderWindow {
         self.inflight.insert(
             seq,
             InFlight {
-                packet,
                 encoded,
                 wire,
-                dst,
+                kind,
                 task,
                 retransmits: 0,
                 degraded: false,
@@ -158,9 +161,9 @@ impl SenderWindow {
         self.inflight.remove(&seq)
     }
 
-    /// Looks up an in-flight packet (for retransmission), bumping its
+    /// Looks up an in-flight frame (for retransmission), bumping its
     /// retransmit counter. The entry is mutable so the caller can swap in a
-    /// re-encoded frame (degraded-mode escalation).
+    /// re-flagged frame (degraded-mode escalation).
     pub fn retransmit(&mut self, seq: u64) -> Option<&mut InFlight> {
         let entry = self.inflight.get_mut(&seq)?;
         entry.retransmits += 1;
@@ -186,14 +189,10 @@ impl SenderWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ask_wire::packet::{ChannelId, SeqNo};
 
-    fn dummy_packet(seq: u64) -> AskPacket {
-        AskPacket::Ack {
-            channel: ChannelId(0),
-            seq: SeqNo(seq),
-            ece: false,
-        }
+    /// Registers an empty data frame of task 0.
+    fn send(w: &mut SenderWindow) -> u64 {
+        w.register(FrameKind::Data, TaskId(0), Bytes::new(), 0)
     }
 
     #[test]
@@ -201,7 +200,7 @@ mod tests {
         let mut w = SenderWindow::new(4);
         for i in 0..4 {
             assert!(w.can_send());
-            assert_eq!(w.register(dummy_packet(i), Bytes::new(), 0, 1, None), i);
+            assert_eq!(send(&mut w), i);
         }
         assert!(!w.can_send());
         assert_eq!(w.in_flight(), 4);
@@ -210,8 +209,8 @@ mod tests {
     #[test]
     fn acking_oldest_slides_window() {
         let mut w = SenderWindow::new(2);
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, None);
-        w.register(dummy_packet(1), Bytes::new(), 0, 1, None);
+        send(&mut w);
+        send(&mut w);
         assert!(!w.can_send());
         // Acking the *newest* does not slide (oldest still pins the window).
         assert!(w.ack(1).is_some());
@@ -224,7 +223,7 @@ mod tests {
     #[test]
     fn duplicate_ack_returns_none() {
         let mut w = SenderWindow::new(2);
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+        send(&mut w);
         assert!(w.ack(0).is_some());
         assert!(w.ack(0).is_none());
     }
@@ -232,36 +231,35 @@ mod tests {
     #[test]
     fn retransmit_counts() {
         let mut w = SenderWindow::new(2);
-        w.register(dummy_packet(0), Bytes::new(), 0, 7, Some(TaskId(3)));
+        w.register(FrameKind::Fin, TaskId(3), Bytes::new(), 90);
         assert_eq!(w.retransmit(0).unwrap().retransmits, 1);
         assert_eq!(w.retransmit(0).unwrap().retransmits, 2);
         let e = w.ack(0).unwrap();
         assert_eq!(e.retransmits, 2);
-        assert_eq!(e.dst, 7);
-        assert_eq!(e.task, Some(TaskId(3)));
+        assert_eq!((e.kind, e.task, e.wire), (FrameKind::Fin, TaskId(3), 90));
         assert!(w.retransmit(0).is_none(), "acked packets are gone");
     }
 
     #[test]
     fn drain_reset_restarts_sequence_space() {
         let mut w = SenderWindow::with_start_seq(4, 1000);
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, Some(TaskId(3)));
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+        w.register(FrameKind::LongKv, TaskId(3), Bytes::new(), 0);
+        send(&mut w);
         assert_eq!(w.peak_in_flight(), 2);
         let drained = w.drain_reset();
         assert_eq!(drained.len(), 2);
         assert!(w.is_idle());
         assert_eq!(w.next_seq(), 0, "sequence space restarts at zero");
         assert_eq!(w.peak_in_flight(), 2, "high-water mark survives the reset");
-        assert_eq!(w.register(dummy_packet(0), Bytes::new(), 0, 1, None), 0);
+        assert_eq!(send(&mut w), 0);
     }
 
     #[test]
     #[should_panic(expected = "window full")]
     fn register_past_full_panics() {
         let mut w = SenderWindow::new(1);
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, None);
-        w.register(dummy_packet(1), Bytes::new(), 0, 1, None);
+        send(&mut w);
+        send(&mut w);
     }
 
     #[test]
@@ -279,7 +277,7 @@ mod tests {
         let mut expected = u64::MAX - 2;
         for _ in 0..16 {
             assert!(w.can_send());
-            let seq = w.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+            let seq = send(&mut w);
             assert_eq!(seq, expected);
             assert!(w.ack(seq).is_some());
             expected = expected.wrapping_add(1);
@@ -291,15 +289,15 @@ mod tests {
     #[test]
     fn oldest_unacked_is_wraparound_aware() {
         let mut w = SenderWindow::with_start_seq(4, u64::MAX - 1);
-        let a = w.register(dummy_packet(0), Bytes::new(), 0, 1, None); // MAX-1
-        let b = w.register(dummy_packet(0), Bytes::new(), 0, 1, None); // MAX
-        let c = w.register(dummy_packet(0), Bytes::new(), 0, 1, None); // 0
+        let a = send(&mut w); // MAX-1
+        let b = send(&mut w); // MAX
+        let c = send(&mut w); // 0
         assert_eq!((a, b, c), (u64::MAX - 1, u64::MAX, 0));
         // Numerically the smallest key is 0, but logically MAX-1 is oldest.
         assert_eq!(w.oldest_unacked(), Some(u64::MAX - 1));
         assert_eq!(w.in_flight_seqs(), vec![u64::MAX - 1, u64::MAX, 0]);
         assert!(w.can_send(), "3 of 4 slots used");
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, None); // 1
+        send(&mut w); // 1
         assert!(!w.can_send(), "window full across the wrap");
         assert!(w.ack(u64::MAX - 1).is_some());
         assert!(w.can_send(), "acking the oldest slides the window");
@@ -344,7 +342,7 @@ mod tests {
                     prop_assert_eq!(sw.can_send(), model_can_send);
                     prop_assert!(sw.in_flight() <= w);
                     if model_can_send && (inflight_virt.is_empty() || rng.gen_bool(0.6)) {
-                        let seq = sw.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+                        let seq = send(&mut sw);
                         prop_assert_eq!(seq, start.wrapping_add(next_virt));
                         inflight_virt.push(next_virt);
                         next_virt += 1;
@@ -385,7 +383,7 @@ mod tests {
                     match rng.gen_range(0..4u8) {
                         0 if sw.can_send() => {
                             let seq =
-                                sw.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+                                send(&mut sw);
                             live.push((seq, 0));
                         }
                         1 if !live.is_empty() => {

@@ -1,4 +1,4 @@
-//! Exact allocation counts on the task-completion and long-key paths.
+//! Exact allocation counts on the send, task-completion and long-key paths.
 //!
 //! The switch harvest (`AggregatorEngine::fetch`), the receiver's final
 //! merge (drain the residual `TaskTable`, fold the fetched entries in) and
@@ -6,21 +6,25 @@
 //! times per call, whatever the number of keys. Each check runs the same
 //! path at a small and a large key count and demands equal counts, so a
 //! single per-key allocation creeping back fails exactly, with no
-//! wall-clock threshold involved.
+//! wall-clock threshold involved. The sender's frame writing must cost
+//! exactly one frame buffer per frame on top of a constant.
 
 use ask::config::AskConfig;
 use ask::host::table::fold_entry;
-use ask::host::{Packetizer, TaskTable};
+use ask::host::{Packetizer, StreamFrame, TaskTable};
 use ask::switch::AggregatorEngine;
-use ask_wire::codec::encode_envelope_parts;
+use ask_wire::builder::{with_flags, FrameBuilder};
+use ask_wire::codec::{encode_envelope_parts, FLAG_NO_AGGREGATE};
 use ask_wire::key::{Key, INLINE_KEY_CAP};
 use ask_wire::packet::{
     AggregateOp, AskPacket, ChannelId, DataPacket, FetchScope, KvTuple, SeqNo, TaskId,
 };
 use ask_wire::pool::PacketPool;
 use ask_wire::view::FrameView;
+use bytes::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
 /// Counts allocations (including reallocations) per thread, so tests
 /// running in parallel never see each other's traffic.
@@ -153,6 +157,86 @@ fn long_kv_materialize_allocs(n: usize) -> (u64, usize) {
         unreachable!("long-kv frames materialize as long-kv packets");
     };
     (allocs, entries.len())
+}
+
+/// Allocation calls behind one frame buffer. The vendored `bytes` keeps a
+/// `Bytes` as an `Arc<Vec<u8>>`, so a buffer is two calls: the bytes and
+/// the shared header.
+fn frame_buffer_allocs() -> u64 {
+    allocs_during(|| Bytes::from(vec![1u8; 64])).0
+}
+
+/// Classifies a stream of `n` tuples (short, medium and every tenth one
+/// long) and writes every frame, as a sender's pump does. Returns the
+/// allocation count, the frames written and the first (a data) frame.
+fn send_allocs(n: usize) -> (u64, u64, Bytes) {
+    let cfg = AskConfig::paper_default();
+    let tuples: Vec<KvTuple> = keys(n)
+        .into_iter()
+        .enumerate()
+        .map(|(i, k)| match i % 10 {
+            9 => KvTuple::new(
+                Key::from_str(&format!("long-bypass-key-{i:08}")).unwrap(),
+                1,
+            ),
+            _ => KvTuple::new(k, 1),
+        })
+        .collect();
+    let tuples = Rc::new(tuples);
+    let packetizer = Packetizer::new(cfg.layout, cfg.long_kv_batch);
+    let builder = FrameBuilder::new(1, 2, 0, cfg.layout);
+    let (task, channel) = (TaskId(1), ChannelId(0));
+    let mut frames = Vec::with_capacity(n);
+    let (allocs, ()) = allocs_during(|| {
+        let mut stream = packetizer.classify(Rc::clone(&tuples));
+        while let Some(frame) = stream.next_frame() {
+            let seq = SeqNo(frames.len() as u64);
+            let built = match frame {
+                StreamFrame::Data(slots) => builder.data(0, task, channel, seq, slots),
+                StreamFrame::LongKv(entries) => builder.long_kv(task, channel, seq, entries),
+            };
+            frames.push(built.expect("classified tuples fit").bytes);
+        }
+    });
+    let first = frames
+        .first()
+        .expect("a stream of tuples has frames")
+        .clone();
+    (allocs, frames.len() as u64, first)
+}
+
+#[test]
+fn frame_building_allocates_one_buffer_per_frame() {
+    send_allocs(1_000); // warm-up: first-use lazy statics
+    let buffer = frame_buffer_allocs();
+    let (small, small_frames, _) = send_allocs(1_000);
+    let (large, large_frames, _) = send_allocs(25_000);
+    assert!(
+        large_frames > 20 * small_frames / 2,
+        "{small_frames} vs {large_frames}"
+    );
+    let small_extra = small - small_frames * buffer;
+    let large_extra = large - large_frames * buffer;
+    assert_eq!(
+        small_extra, large_extra,
+        "allocations beyond one buffer per frame: {small_extra} at 1k tuples \
+         ({small_frames} frames) vs {large_extra} at 25k ({large_frames} frames)"
+    );
+}
+
+#[test]
+fn no_aggregate_escalation_costs_at_most_one_buffer() {
+    let buffer = frame_buffer_allocs();
+    let (_, _, frame) = send_allocs(100);
+    let (allocs, patched) = allocs_during(|| with_flags(&frame, FLAG_NO_AGGREGATE));
+    assert_eq!(
+        FrameView::parse(patched).unwrap().flags(),
+        FLAG_NO_AGGREGATE
+    );
+    assert!(
+        allocs <= buffer,
+        "{allocs} allocations for one re-flagged frame"
+    );
 }
 
 #[test]

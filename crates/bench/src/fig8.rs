@@ -104,11 +104,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_hit_rate_exceeds_90_percent_on_fig8_shape() {
-        // The fig8(a) x=16 grid point, scaled down: after warm-up the
-        // decode/packetize paths must be fed almost entirely from recycled
-        // packet memory — the tentpole's "near-zero allocations per
-        // simulated packet" claim, asserted end to end.
+    fn fig8_shape_takes_nothing_from_any_pool() {
+        // The fig8(a) x=16 grid point, scaled down. Senders write frames
+        // straight from their retained tuples, the switch aggregates and
+        // re-frames from wire bytes, and the receiver merges from borrowed
+        // views: no node may take a single vector from its packet pool,
+        // which is stronger than any bound on the pools' hit rate.
         let mut cfg = AskConfig::paper_default();
         cfg.layout = PacketLayout::short_only(16);
         cfg.data_channels = 4;
@@ -119,31 +120,17 @@ mod tests {
         };
         let stream = uniform_stream(11, 10_000, 80_000);
         let report = run_ask(&run_cfg, vec![stream]);
-        // Steady-state pools: every data packet is decoded once on the
-        // switch and once on the receiver, and each decode's take is paired
-        // with a recycle (verdict emission / residual merge), so after the
-        // first packet per pool the free list feeds essentially every take.
-        // Senders count too: packetization is lazy (PendingStream) and the
-        // pool is pre-warmed from the stream-size hints before the first
-        // send, so even the first window's takes come from the free list —
-        // there is no cold start left on the sender path.
-        let hits = report.switch_pool_hits
-            + report.receiver.pool_hits
-            + report.senders.iter().map(|s| s.pool_hits).sum::<u64>();
-        let misses = report.switch_pool_misses
-            + report.receiver.pool_misses
-            + report.senders.iter().map(|s| s.pool_misses).sum::<u64>();
-        let rate = hits as f64 / (hits + misses).max(1) as f64;
-        assert!(
-            rate > 0.90,
-            "pool hit rate {rate:.4} ({hits} hits / {misses} misses)"
+        let sent: u64 = report.senders.iter().map(|s| s.packets_sent).sum();
+        assert!(sent > 0, "the senders must actually send");
+        let takes = |h: &HostStats| h.pool_hits + h.pool_misses;
+        let sender_takes: u64 = report.senders.iter().map(takes).sum();
+        assert_eq!(sender_takes, 0, "senders have no pool traffic");
+        assert_eq!(
+            report.switch_pool_hits + report.switch_pool_misses,
+            0,
+            "switch pool"
         );
-        // Sender-only view: every packetize take must hit the pre-warmed
-        // free list.
-        let s_hits: u64 = report.senders.iter().map(|s| s.pool_hits).sum();
-        let s_misses: u64 = report.senders.iter().map(|s| s.pool_misses).sum();
-        assert!(s_hits > 0, "senders should draw from their pools");
-        assert_eq!(s_misses, 0, "sender pools are pre-warmed ({s_hits} hits)");
+        assert_eq!(takes(&report.receiver), 0, "receiver pool");
     }
 
     #[test]
@@ -217,31 +204,6 @@ mod tests {
              ({} hits / {} misses)",
             report.receiver.pool_hits,
             report.receiver.pool_misses,
-        );
-    }
-
-    #[test]
-    fn sender_pool_is_warm_from_the_first_window() {
-        // A stream barely larger than one send window: there is no steady
-        // state to amortize into, so a >90% sender hit rate here can only
-        // come from the stream-size pre-warm (the PR 4 cold spot).
-        let mut cfg = AskConfig::paper_default();
-        cfg.layout = PacketLayout::short_only(16);
-        cfg.data_channels = 1;
-        cfg.region_aggregators = cfg.aggregators_per_aa;
-        let run_cfg = AskRun {
-            tasks: 1,
-            ..AskRun::paper(cfg)
-        };
-        let stream = uniform_stream(7, 500, 2_000);
-        let report = run_ask(&run_cfg, vec![stream]);
-        let hits: u64 = report.senders.iter().map(|s| s.pool_hits).sum();
-        let misses: u64 = report.senders.iter().map(|s| s.pool_misses).sum();
-        assert!(hits > 0, "the stream must actually packetize");
-        let rate = hits as f64 / (hits + misses) as f64;
-        assert!(
-            rate > 0.90,
-            "first-window sender hit rate {rate:.4} ({hits} hits / {misses} misses)"
         );
     }
 

@@ -282,7 +282,8 @@ pub fn encode_into(buf: &mut BytesMut, packet: &AskPacket, layout: &PacketLayout
 fn put_entries(buf: &mut BytesMut, entries: &[KvTuple]) {
     buf.put_u32(entries.len() as u32);
     for t in entries {
-        buf.put_u16(t.key.len() as u16);
+        let len = u16::try_from(t.key.len()).expect("keys are at most MAX_KEY_LEN bytes");
+        buf.put_u16(len);
         buf.put_slice(t.key.as_bytes());
         buf.put_u32(t.value);
     }

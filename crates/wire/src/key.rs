@@ -38,6 +38,10 @@ pub struct Key(Repr);
 /// Keys at most this long are stored inline in the [`Key`] value itself.
 pub const INLINE_KEY_CAP: usize = 23;
 
+/// The longest valid key, in bytes: long-kv and fetch-reply entries carry
+/// a key's length in a 16-bit field.
+pub const MAX_KEY_LEN: usize = u16::MAX as usize;
+
 #[derive(Clone)]
 enum Repr {
     Inline { len: u8, buf: [u8; INLINE_KEY_CAP] },
@@ -83,6 +87,9 @@ pub enum KeyError {
     Empty,
     /// Keys must not contain NUL bytes (padding would be ambiguous).
     ContainsNul,
+    /// Keys must be at most [`MAX_KEY_LEN`] bytes (the wire's 16-bit
+    /// entry length field).
+    TooLong,
 }
 
 impl fmt::Display for KeyError {
@@ -90,6 +97,7 @@ impl fmt::Display for KeyError {
         match self {
             KeyError::Empty => write!(f, "keys must be non-empty"),
             KeyError::ContainsNul => write!(f, "keys must not contain NUL bytes"),
+            KeyError::TooLong => write!(f, "keys must be at most {MAX_KEY_LEN} bytes"),
         }
     }
 }
@@ -117,7 +125,8 @@ impl Key {
     ///
     /// # Errors
     ///
-    /// Returns [`KeyError`] if `bytes` is empty or contains a NUL byte.
+    /// Returns [`KeyError`] if `bytes` is empty, contains a NUL byte, or
+    /// is longer than [`MAX_KEY_LEN`].
     pub fn new(bytes: Bytes) -> Result<Self, KeyError> {
         validate(&bytes)?;
         Ok(Key::from_validated_bytes(bytes))
@@ -318,10 +327,14 @@ impl AsRef<[u8]> for Key {
     }
 }
 
-/// The [`Key`] invariants: non-empty, no NUL byte.
+/// The [`Key`] invariants: non-empty, at most [`MAX_KEY_LEN`] bytes, no
+/// NUL byte.
 fn validate(bytes: &[u8]) -> Result<(), KeyError> {
     if bytes.is_empty() {
         return Err(KeyError::Empty);
+    }
+    if bytes.len() > MAX_KEY_LEN {
+        return Err(KeyError::TooLong);
     }
     if bytes.contains(&0) {
         return Err(KeyError::ContainsNul);
@@ -382,6 +395,22 @@ mod tests {
         assert_eq!(Key::from_slice(b"").unwrap_err(), KeyError::Empty);
         assert_eq!(Key::from_slice(b"a\0b").unwrap_err(), KeyError::ContainsNul);
         assert_eq!(Key::from_slice(b"abc").unwrap().as_bytes(), b"abc");
+    }
+
+    #[test]
+    fn fail_validation_if_exceeding_max_key_len() {
+        let under = vec![b'k'; MAX_KEY_LEN - 1];
+        assert!(Key::from_slice(&under).is_ok());
+
+        let max = vec![b'k'; MAX_KEY_LEN];
+        assert_eq!(Key::from_slice(&max).unwrap().len(), 65_535);
+        assert!(Key::new(Bytes::from(max)).is_ok());
+
+        for len in [MAX_KEY_LEN + 1, MAX_KEY_LEN + 2] {
+            let over = vec![b'k'; len];
+            assert_eq!(Key::from_slice(&over).unwrap_err(), KeyError::TooLong);
+            assert_eq!(Key::new(Bytes::from(over)).unwrap_err(), KeyError::TooLong);
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! short/medium/long classification (§3.2.3 of the paper), the slotted
 //! [`packet::DataPacket`] whose bitmap the switch rewrites as it consumes
 //! tuples (Figure 5), control-plane messages for task setup and switch
-//! memory management, and a compact binary [`codec`].
+//! memory management, a compact binary [`codec`], and the sender's
+//! [`builder::FrameBuilder`], which writes data and long-kv frames straight
+//! from borrowed tuples.
 //!
 //! Size accounting follows the paper's §5.3 model: every packet costs
 //! [`constants::PACKET_OVERHEAD`] = 78 bytes of framing/headers plus its
@@ -28,6 +30,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod builder;
 pub mod codec;
 pub mod constants;
 pub mod key;
@@ -37,6 +40,7 @@ pub mod view;
 
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
+    pub use crate::builder::{BuildError, BuiltFrame, FrameBuilder};
     pub use crate::codec::{
         crc32, decode, decode_envelope, encode, encode_envelope, CodecError, Envelope,
     };

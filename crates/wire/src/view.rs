@@ -38,10 +38,10 @@ use std::sync::Arc;
 
 /// Offset of the bitmap within a data-packet body: kind byte,
 /// task/channel/seq, and the three declared-layout bytes.
-const DATA_BITMAP: usize = 1 + 4 + 4 + 8 + 3;
+pub(crate) const DATA_BITMAP: usize = 1 + 4 + 4 + 8 + 3;
 
 /// Offset of the first slot's bytes within a data-packet body.
-const DATA_SLOTS: usize = DATA_BITMAP + 16;
+pub(crate) const DATA_SLOTS: usize = DATA_BITMAP + 16;
 
 #[inline]
 fn need(total: usize, pos: usize, n: usize) -> Result<(), CodecError> {
