@@ -23,7 +23,6 @@ use ask_wire::key::Key;
 use ask_wire::packet::{
     AggregateOp, AskPacket, ChannelId, ControlMsg, FetchScope, KvTuple, SeqNo, TaskId,
 };
-use ask_wire::pool::PacketPool;
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -178,10 +177,6 @@ pub struct AskDaemon {
     cpu_busy: SimDuration,
     /// Tuples received for tasks this daemon never registered (misrouted).
     orphan_tuples: u64,
-    /// Recycled packet bodies for the receive fallbacks that materialize a
-    /// frame (long-kv bodies, foreign-layout data). The send path never
-    /// touches it.
-    pool: PacketPool,
     /// Highest switch epoch this daemon has seen. Frames from older epochs
     /// (pre-crash verdicts, ACKs, fetch replies) are dropped at ingress.
     known_epoch: u32,
@@ -235,7 +230,6 @@ impl AskDaemon {
             stats: HostStats::default(),
             cpu_busy: SimDuration::ZERO,
             orphan_tuples: 0,
-            pool: PacketPool::new(),
             known_epoch: 0,
             degraded: false,
             backoff,
@@ -374,18 +368,9 @@ impl AskDaemon {
         self.send_done.get(&task).copied()
     }
 
-    /// Aggregate daemon counters (pool hit/miss counters are folded in from
-    /// the live packet pool).
+    /// Aggregate daemon counters.
     pub fn stats(&self) -> HostStats {
-        let mut s = self.stats;
-        s.pool_hits = self.pool.hits();
-        s.pool_misses = self.pool.misses();
-        s
-    }
-
-    /// The daemon's packet-memory pool.
-    pub fn pool(&self) -> &PacketPool {
-        &self.pool
+        self.stats
     }
 
     /// Total CPU time consumed by packet IO and host-side aggregation.
@@ -835,22 +820,6 @@ impl AskDaemon {
             .observe(seq.0)
     }
 
-    fn merge_residual(&mut self, task: TaskId, tuples: impl IntoIterator<Item = KvTuple>) {
-        let Some(rt) = self.recv_tasks.get_mut(&task) else {
-            let n = tuples.into_iter().count() as u64;
-            self.orphan_tuples += n;
-            return;
-        };
-        let op = rt.op;
-        let mut n = 0u64;
-        for t in tuples {
-            rt.residual.merge(&t.key, t.value, op);
-            n += 1;
-        }
-        self.stats.tuples_host_aggregated += n;
-        self.cpu_busy += self.config.cpu_per_tuple.saturating_mul(n);
-    }
-
     fn reply_ack(
         &mut self,
         dst: u32,
@@ -1162,15 +1131,15 @@ impl AskDaemon {
     // ------------------------------------------------------------------
     // Receive path.
     //
-    // Inbound frames parse once into borrowed `FrameView`s; matching-layout
-    // data packets and fetch replies are consumed straight from the wire
-    // bytes with zero pool traffic. First-delivery data views are deferred
+    // Inbound frames parse once into borrowed `FrameView`s and nothing is
+    // materialized: data packets of any declared slot layout merge from
+    // slot views, long-kv bodies and fetch replies from entry views, all
+    // straight off the wire bytes. First-delivery data views are deferred
     // into `merge_batch` and merged grouped-by-task — all aggregation
     // operators are commutative and the merges emit nothing, so deferral
     // cannot change a single sent byte. Everything that reads residual
-    // state (fins, fetch replies, control, epoch resync, fallbacks)
-    // flushes the batch first. Long-kv bodies and foreign-layout data are
-    // the only frames materialized (`ingest_materialized`).
+    // state (fins, fetch replies, control, epoch resync) and the long-kv
+    // merge flush the batch first.
     // ------------------------------------------------------------------
 
     /// Epoch gate for a parsed view; `false` means drop the frame. A newer
@@ -1192,8 +1161,8 @@ impl AskDaemon {
         }
     }
 
-    /// Protocol actions for one matching-layout data view whose
-    /// receive-window observation is already known. Packet-IO CPU is
+    /// Protocol actions for one data view, of any declared slot layout,
+    /// whose receive-window observation is already known. Packet-IO CPU is
     /// charged by the caller (per frame on the single path, per run on the
     /// burst path).
     fn data_view_action(
@@ -1316,14 +1285,14 @@ impl AskDaemon {
                 }
                 self.on_ack(*channel, *seq, *ece, ctx)
             }
-            PacketView::Data(d) if d.matches_layout(&self.config.layout) => {
+            PacketView::Data(d) => {
                 self.cpu_busy += self.config.cpu_per_packet;
                 let obs = self.observe(d.channel(), d.seq());
                 self.data_view_action(src, ecn, d, obs, ctx);
             }
-            PacketView::Data(_) | PacketView::LongKv { .. } => {
-                self.ingest_materialized(ecn, view, ctx)
-            }
+            PacketView::LongKv {
+                task, channel, seq, ..
+            } => self.on_long_kv(ecn, *task, *channel, *seq, view, ctx),
             PacketView::Fin { task, channel, seq } => {
                 self.flush_merge_batch();
                 self.cpu_busy += self.config.cpu_per_packet;
@@ -1374,82 +1343,53 @@ impl AskDaemon {
         }
     }
 
-    /// The fallback for the two kinds the view path cannot merge in place:
-    /// data in a foreign slot layout and long-kv bypass bodies, whose keys
-    /// the residual table must own. The frame is built through the pool
-    /// (reusing the parse's validation) and merged as owned tuples.
-    fn ingest_materialized(&mut self, ecn: bool, view: &FrameView, ctx: &mut Context<'_>) {
+    /// A long-kv bypass body: its keys are too long for any slot, so the
+    /// switch relayed it and the receiver merges every entry itself.
+    fn on_long_kv(
+        &mut self,
+        ecn: bool,
+        task: TaskId,
+        channel: ChannelId,
+        seq: SeqNo,
+        view: &FrameView,
+        ctx: &mut Context<'_>,
+    ) {
         self.flush_merge_batch();
         self.stats.host_view_fallbacks += 1;
         self.cpu_busy += self.config.cpu_per_packet;
         let src = view.src();
-        match view.materialize_pooled(&mut self.pool).packet {
-            AskPacket::Data(mut pkt) => match self.observe(pkt.channel, pkt.seq) {
-                Observation::Stale => {
-                    self.pool.recycle_slots(pkt.slots);
-                }
-                Observation::Duplicate => {
-                    self.stats.duplicates_dropped += 1;
-                    self.trace.record(
-                        ctx.now(),
-                        TraceEvent::DuplicateDropped {
-                            channel: pkt.channel,
-                            seq: pkt.seq,
-                        },
-                    );
-                    self.reply_ack(src, pkt.channel, pkt.seq, ecn, ctx);
-                    self.pool.recycle_slots(pkt.slots);
-                }
-                Observation::First => {
-                    self.stats.packets_received += 1;
-                    self.trace.record(
-                        ctx.now(),
-                        TraceEvent::Received {
-                            channel: pkt.channel,
-                            seq: pkt.seq,
-                        },
-                    );
-                    let task = pkt.task;
-                    let mut slots = std::mem::take(&mut pkt.slots);
-                    self.merge_residual(task, slots.drain(..).flatten());
-                    self.pool.recycle_slots(slots);
-                    self.reply_ack(src, pkt.channel, pkt.seq, ecn, ctx);
-                    if let Some(rt) = self.recv_tasks.get_mut(&task) {
-                        rt.packets_since_swap += 1;
+        match self.observe(channel, seq) {
+            Observation::Stale => {}
+            Observation::Duplicate => {
+                self.stats.duplicates_dropped += 1;
+                self.reply_ack(src, channel, seq, ecn, ctx);
+            }
+            Observation::First => {
+                self.stats.packets_received += 1;
+                let entries = view.entries().expect("long-kv frames carry entries");
+                let n = entries.len() as u64;
+                match self.recv_tasks.get_mut(&task) {
+                    Some(rt) => {
+                        let op = rt.op;
+                        for e in entries {
+                            rt.residual
+                                .merge_hashed(e.hash64(), e.key_bytes(), e.value(), op);
+                        }
+                        self.stats.tuples_host_aggregated += n;
+                        self.cpu_busy += self.config.cpu_per_tuple.saturating_mul(n);
                     }
-                    self.maybe_swap(task, ctx);
+                    None => self.orphan_tuples += n,
                 }
-            },
-            AskPacket::LongKv {
-                task,
-                channel,
-                seq,
-                mut entries,
-            } => match self.observe(channel, seq) {
-                Observation::Stale => {
-                    self.pool.recycle_tuples(entries);
-                }
-                Observation::Duplicate => {
-                    self.stats.duplicates_dropped += 1;
-                    self.reply_ack(src, channel, seq, ecn, ctx);
-                    self.pool.recycle_tuples(entries);
-                }
-                Observation::First => {
-                    self.stats.packets_received += 1;
-                    self.merge_residual(task, entries.drain(..));
-                    self.pool.recycle_tuples(entries);
-                    self.reply_ack(src, channel, seq, ecn, ctx);
-                }
-            },
-            _ => unreachable!("only data and long-kv frames are materialized"),
+                self.reply_ack(src, channel, seq, ecn, ctx);
+            }
         }
     }
 
-    /// Ingests a run of same-channel, matching-layout data views from one
-    /// burst: the receive window resolves once for the whole run, every
-    /// sequence number is observed into the reusable scratch buffer,
-    /// packet-IO CPU is charged in one multiply, and the per-frame protocol
-    /// actions replay in arrival order.
+    /// Ingests a run of same-channel data views from one burst: the
+    /// receive window resolves once for the whole run, every sequence
+    /// number is observed into the reusable scratch buffer, packet-IO CPU
+    /// is charged in one multiply, and the per-frame protocol actions
+    /// replay in arrival order.
     fn ingest_data_run(&mut self, run: &[(bool, FrameView)], ctx: &mut Context<'_>) {
         debug_assert!(!run.is_empty());
         let mut obs = std::mem::take(&mut self.obs_scratch);
@@ -1494,16 +1434,11 @@ impl AskDaemon {
         let mut i = 0;
         while i < frames.len() {
             let view = &frames[i].1;
-            // A frame joins a run only when it needs no epoch action and
-            // aggregates in place; everything else dispatches singly (and
-            // may resync, ending the grouping epoch).
+            // A frame joins a run only when it is data that needs no epoch
+            // action; everything else dispatches singly (and may resync,
+            // ending the grouping epoch).
             let run_channel = match view.packet() {
-                PacketView::Data(d)
-                    if view.epoch() == self.known_epoch
-                        && d.matches_layout(&self.config.layout) =>
-                {
-                    Some(d.channel())
-                }
+                PacketView::Data(d) if view.epoch() == self.known_epoch => Some(d.channel()),
                 _ => None,
             };
             let Some(channel) = run_channel else {
@@ -1516,9 +1451,7 @@ impl AskDaemon {
                 let v = &frames[j].1;
                 match v.packet() {
                     PacketView::Data(d)
-                        if v.epoch() == self.known_epoch
-                            && d.matches_layout(&self.config.layout)
-                            && d.channel() == channel =>
+                        if v.epoch() == self.known_epoch && d.channel() == channel =>
                     {
                         j += 1;
                     }

@@ -140,8 +140,8 @@ impl TaskTable {
         self.len += 1;
     }
 
-    /// Merges `value` under `key`, hashing it first — the fallback paths
-    /// (materialized tuples, co-located streams) where no wire hash exists.
+    /// Merges `value` under `key`, hashing it first — for owned tuples
+    /// (a co-located sender's stream) where no wire hash exists.
     pub fn merge(&mut self, key: &Key, value: u32, op: AggregateOp) {
         self.merge_hashed(key.hash64(), key.as_bytes(), value, op);
     }

@@ -69,9 +69,10 @@ mod engine_proptests {
     use crate::host::packetizer::Packetizer;
     use crate::host::receiver::ReceiverWindow;
     use crate::service::reference_aggregate;
-    use crate::switch::aggregator::{AggregatorEngine, DataVerdict, Observation};
+    use crate::switch::aggregator::{AggregatorEngine, Observation, ViewVerdict};
     use ask_wire::key::Key;
     use ask_wire::packet::{ChannelId, DataPacket, FetchScope, KvTuple, SeqNo, TaskId};
+    use ask_wire::view::DataPacketView;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -112,12 +113,14 @@ mod engine_proptests {
 
             let mut receiver = ReceiverWindow::new(window);
             let mut residual: HashMap<Key, u32> = HashMap::new();
-            let receive = |pkt: &DataPacket, receiver: &mut ReceiverWindow,
+            // The receiver merges the slots a forward verdict kept, read
+            // straight off the forwarded frame.
+            let receive = |view: &DataPacketView, kept: u128, receiver: &mut ReceiverWindow,
                                residual: &mut HashMap<Key, u32>| {
-                if receiver.observe(pkt.seq.0) == Observation::First {
-                    for t in pkt.slots.iter().flatten() {
-                        let slot = residual.entry(t.key.clone()).or_insert(0);
-                        *slot = slot.wrapping_add(t.value);
+                if receiver.observe(view.seq().0) == Observation::First {
+                    for s in view.slots().filter(|s| kept & (1 << s.index()) != 0) {
+                        let slot = residual.entry(s.key()).or_insert(0);
+                        *slot = slot.wrapping_add(s.value());
                     }
                 }
             };
@@ -125,32 +128,33 @@ mod engine_proptests {
             // Long keys bypass: the receiver ingests them directly (with
             // their own dedup), sharing the channel's sequence space.
             let mut seq = 0u64;
-            let mut recent: Vec<DataPacket> = Vec::new();
+            let mut recent: Vec<DataPacketView> = Vec::new();
             let mut fetch_seq = 0u32;
-            let process = |pkt: DataPacket,
+            let process = |view: &DataPacketView,
                                engine: &mut AggregatorEngine,
                                receiver: &mut ReceiverWindow,
                                residual: &mut HashMap<Key, u32>| {
-                match engine.process_data(pkt) {
-                    DataVerdict::FullyAggregated | DataVerdict::Stale => {}
-                    DataVerdict::Forward(residual_pkt) => {
-                        receive(&residual_pkt, receiver, residual);
+                match engine.process_view(view) {
+                    ViewVerdict::FullyAggregated | ViewVerdict::Stale => {}
+                    ViewVerdict::Forward { residual: kept } => {
+                        receive(view, kept, receiver, residual);
                     }
                 }
             };
 
             for payload in stream.data_payloads {
                 let pkt = DataPacket { task, channel, seq: SeqNo(seq), slots: payload };
+                let view = DataPacketView::from_packet(&pkt, &cfg.layout);
                 seq += 1;
-                process(pkt.clone(), &mut engine, &mut receiver, &mut residual);
-                recent.push(pkt);
+                process(&view, &mut engine, &mut receiver, &mut residual);
+                recent.push(view);
                 if recent.len() > window / 2 {
                     recent.remove(0);
                 }
                 // Retransmit a random recent (in-window) packet.
                 if !recent.is_empty() && rng.gen_bool(dup_rate) {
                     let dup = recent[rng.gen_range(0..recent.len())].clone();
-                    process(dup, &mut engine, &mut receiver, &mut residual);
+                    process(&dup, &mut engine, &mut receiver, &mut residual);
                 }
                 if swap_every > 0 && seq.is_multiple_of(swap_every) {
                     engine.swap(task);
@@ -218,10 +222,10 @@ mod engine_proptests {
                         slots: payload,
                     };
                     seqs[which] += 1;
-                    match engine.process_data(pkt) {
-                        DataVerdict::FullyAggregated => totals[which] += value as u64,
-                        DataVerdict::Forward(_) => {}
-                        DataVerdict::Stale => unreachable!(),
+                    match engine.process_view(&DataPacketView::from_packet(&pkt, &layout)) {
+                        ViewVerdict::FullyAggregated => totals[which] += value as u64,
+                        ViewVerdict::Forward { .. } => {}
+                        ViewVerdict::Stale => unreachable!(),
                     }
                 }
             }
@@ -247,7 +251,7 @@ pub mod prelude {
         reference_aggregate, reference_aggregate_op, AskService, AskServiceBuilder, RunError,
     };
     pub use crate::stats::{HostStats, SwitchTaskStats};
-    pub use crate::switch::{AggregatorEngine, AskSwitch, DataVerdict};
+    pub use crate::switch::{AggregatorEngine, AskSwitch, ViewVerdict};
     pub use crate::valuestream::{decode_vector, encode_vector, DecodeVectorError};
     pub use ask_wire::key::{Key, KeyClass};
     pub use ask_wire::packet::{AggregateOp, KvTuple, PacketLayout, TaskId};

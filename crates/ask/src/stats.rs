@@ -120,9 +120,8 @@ pub struct HostStats {
     pub bytes_sent: u64,
     /// Nominal payload (goodput) bytes sent.
     pub goodput_bytes_sent: u64,
-    /// Packet-pool takes served from the free list (no allocation).
-    pub pool_hits: u64,
-    /// Packet-pool takes that had to allocate.
+    /// Always 0: no receive or send path draws on a packet pool any more.
+    /// Kept until the benchmark stops reading it (ROADMAP item 2).
     pub pool_misses: u64,
     /// Frames dropped because they carried a pre-crash switch epoch
     /// (late verdicts, ACKs, or fetch replies from before a restart).
@@ -131,13 +130,13 @@ pub struct HostStats {
     /// after exhausting [`crate::config::AskConfig::escalate_after`]
     /// retransmissions.
     pub degraded_entries: u64,
-    /// Inbound payload frames the receive path consumed straight from wire
-    /// bytes — first-delivery data packets merged via borrowed slot views
-    /// and fetch replies merged via borrowed entry views — with zero pool
-    /// traffic (the host-side mirror of the switch's pure-absorb counter).
+    /// First-delivery data packets (of any declared slot layout) merged
+    /// via borrowed slot views, plus fetch replies merged via borrowed
+    /// entry views.
     pub host_pure_view: u64,
-    /// Inbound frames the receive path had to materialize through the pool
-    /// after parsing (long-kv bypass bodies, layout-mismatched data).
+    /// Long-kv bypass bodies received: keys too long for any switch slot,
+    /// merged entry by entry on the host. (The name predates the all-view
+    /// receive path, when these bodies were materialized.)
     pub host_view_fallbacks: u64,
     /// Histogram of delivery burst lengths handed to the daemon by the
     /// simulator's burst drain (log₂ buckets, see [`burst_bucket`]).
@@ -157,7 +156,6 @@ impl HostStats {
         self.tuples_fetched += other.tuples_fetched;
         self.bytes_sent += other.bytes_sent;
         self.goodput_bytes_sent += other.goodput_bytes_sent;
-        self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
         self.stale_epoch_drops += other.stale_epoch_drops;
         self.degraded_entries += other.degraded_entries;
@@ -197,22 +195,20 @@ mod tests {
         assert_eq!(a.burst_len[3], 5);
 
         let mut h = HostStats {
-            pool_hits: 10,
             pool_misses: 1,
             host_pure_view: 3,
             ..Default::default()
         };
         h.burst_len[1] = 4;
         let mut h2 = HostStats {
-            pool_hits: 5,
+            pool_misses: 5,
             host_pure_view: 2,
             host_view_fallbacks: 7,
             ..Default::default()
         };
         h2.burst_len[1] = 6;
         h.merge(&h2);
-        assert_eq!(h.pool_hits, 15);
-        assert_eq!(h.pool_misses, 1);
+        assert_eq!(h.pool_misses, 6);
         assert_eq!(h.host_pure_view, 5);
         assert_eq!(h.host_view_fallbacks, 7);
         assert_eq!(h.burst_len[1], 10);

@@ -2,7 +2,7 @@
 
 pub mod aggregator;
 
-pub use aggregator::{AggregatorEngine, DataVerdict, Observation, ViewVerdict};
+pub use aggregator::{AggregatorEngine, Observation, ViewVerdict};
 
 use crate::config::AskConfig;
 use crate::stats::SwitchTaskStats;
@@ -15,8 +15,8 @@ use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use bytes::Bytes;
 
 /// Everything needed to emit the response for one data packet's verdict
-/// after the engine pass: the addressing, the original payload bytes (for
-/// the relay-unchanged fast path) and the pre-aggregation occupancy.
+/// after the engine pass: the addressing and the original payload bytes
+/// (for the relay-unchanged fast path).
 #[derive(Debug)]
 struct DataMeta {
     src: u32,
@@ -25,12 +25,7 @@ struct DataMeta {
     seq: SeqNo,
     ecn: bool,
     wire: usize,
-    occupied_before: usize,
     payload: Bytes,
-    /// Sender-stamped envelope epoch/flags, preserved verbatim when the
-    /// switch rewrites the envelope for a residual forward.
-    epoch: u32,
-    flags: u8,
 }
 
 /// The top-of-rack ASK switch as a simulated network node.
@@ -40,11 +35,14 @@ struct DataMeta {
 /// controller (it grants and releases aggregator-array regions in response
 /// to control messages, §3.1 steps ③ and ⑫).
 ///
-/// There is one receive datapath: every frame is parsed once into a
-/// borrowed [`FrameView`] and aggregated straight out of the wire bytes.
-/// Only data the view cannot aggregate in place — no-aggregate
-/// pass-through and foreign slot layouts — is materialized, through
-/// [`FrameView::materialize_pooled`].
+/// There is one receive datapath and nothing on it is materialized: every
+/// frame is parsed once into a borrowed [`FrameView`], and every data frame
+/// the switch accepts runs the engine's one aggregation kernel straight out
+/// of the wire bytes — degraded no-aggregate frames included, with the
+/// aggregator arrays switched off. A data frame whose declared slot layout
+/// differs from the switch's own addresses registers this program does not
+/// have; it is relayed raw, touching no dedup state, and counted
+/// ([`AskSwitch::foreign_layout_relayed`]).
 #[derive(Debug)]
 pub struct AskSwitch {
     engine: AggregatorEngine,
@@ -65,8 +63,9 @@ pub struct AskSwitch {
     stale_epoch_drops: u64,
     /// Data packets processed through the degraded no-aggregate path.
     noagg_relayed: u64,
-    /// Data frames fully absorbed straight from the wire bytes, with no
-    /// slot materialization and no pool traffic.
+    /// Data frames in a foreign slot layout, relayed raw.
+    foreign_layout_relayed: u64,
+    /// Data frames fully absorbed: answered with an ACK alone.
     pure_absorb: u64,
     /// Scratch buffers for burst ingest, reused across deliveries.
     batch_views: Vec<DataPacketView>,
@@ -85,6 +84,7 @@ impl AskSwitch {
             epoch: 0,
             stale_epoch_drops: 0,
             noagg_relayed: 0,
+            foreign_layout_relayed: 0,
             pure_absorb: 0,
             batch_views: Vec::new(),
             batch_meta: Vec::new(),
@@ -121,8 +121,14 @@ impl AskSwitch {
         self.noagg_relayed
     }
 
-    /// Data frames fully absorbed without materializing a single slot —
-    /// zero pool traffic, just an ACK back to the sender.
+    /// Data frames whose declared slot layout differs from the switch's,
+    /// relayed raw to their destination without aggregation or dedup.
+    pub fn foreign_layout_relayed(&self) -> u64 {
+        self.foreign_layout_relayed
+    }
+
+    /// Data frames fully absorbed — answered with an ACK alone, nothing
+    /// forwarded.
     pub fn pure_absorb_frames(&self) -> u64 {
         self.pure_absorb
     }
@@ -179,13 +185,6 @@ impl AskSwitch {
         self.undecodable
     }
 
-    fn forward_ecn(&mut self, envelope: &Envelope, ecn: bool, ctx: &mut Context<'_>) {
-        let layout = self.engine.config().layout;
-        let bytes = encode_envelope(envelope, &layout);
-        let wire = envelope.wire_bytes(&layout);
-        self.forward_raw(envelope.dst, bytes, wire, ecn, ctx);
-    }
-
     /// Relays already-encoded envelope bytes unchanged. Used for every
     /// packet the switch does not rewrite: the payload `Bytes` handle from
     /// the incoming frame is reused directly (an O(1) reference-count
@@ -205,6 +204,8 @@ impl AskSwitch {
         }
     }
 
+    /// Encodes and sends a packet the switch originates, stamped with its
+    /// current epoch.
     fn reply(&mut self, dst: u32, packet: AskPacket, ctx: &mut Context<'_>) {
         let me = ctx.me().index() as u32;
         let envelope = Envelope {
@@ -214,50 +215,10 @@ impl AskSwitch {
             flags: 0,
             packet,
         };
-        self.forward_ecn(&envelope, false, ctx);
-    }
-
-    /// Emits the response for one materialized (fallback) data packet's
-    /// verdict: nothing for stale, an ACK to the sender for fully
-    /// aggregated, a forward for residuals — recycling the consumed slot
-    /// vector on the forward paths.
-    fn emit_data_verdict(&mut self, verdict: DataVerdict, m: DataMeta, ctx: &mut Context<'_>) {
-        match verdict {
-            DataVerdict::Stale => {}
-            DataVerdict::FullyAggregated => {
-                // The switch is the consuming endpoint: echo congestion
-                // marks back to the sender on the ACK.
-                let ack = AskPacket::Ack {
-                    channel: m.channel,
-                    seq: m.seq,
-                    ece: m.ecn,
-                };
-                self.reply(m.src, ack, ctx);
-            }
-            DataVerdict::Forward(residual) => {
-                let slots = if residual.occupied() == m.occupied_before {
-                    // Nothing was aggregated out: the packet is
-                    // byte-identical to what arrived, so relay the
-                    // original frame payload without re-encoding.
-                    self.forward_raw(m.dst, m.payload, m.wire, m.ecn, ctx);
-                    residual.slots
-                } else {
-                    let fwd = Envelope {
-                        src: m.src,
-                        dst: m.dst,
-                        epoch: m.epoch,
-                        flags: m.flags,
-                        packet: AskPacket::Data(residual),
-                    };
-                    self.forward_ecn(&fwd, m.ecn, ctx);
-                    match fwd.packet {
-                        AskPacket::Data(d) => d.slots,
-                        _ => unreachable!("constructed as Data just above"),
-                    }
-                };
-                self.engine.pool_mut().recycle_slots(slots);
-            }
-        }
+        let layout = self.engine.config().layout;
+        let bytes = encode_envelope(&envelope, &layout);
+        let wire = envelope.wire_bytes(&layout);
+        self.forward_raw(dst, bytes, wire, false, ctx);
     }
 
     /// Emits the response for one view verdict. Fully-absorbed frames cost
@@ -321,54 +282,6 @@ impl AskSwitch {
             self.emit_view_verdict(verdict, &view, m, ctx);
         }
         self.batch_view_verdicts = verdicts;
-    }
-
-    /// Fallback for data frames that cannot aggregate in place
-    /// (no-aggregate pass-through, forged/mismatched slot layouts):
-    /// materialize through the pool — reusing the view's one-shot
-    /// validation — and run the engine's materializing pass for this one
-    /// packet.
-    fn data_fallback(
-        &mut self,
-        view: &FrameView,
-        payload: Bytes,
-        ecn: bool,
-        wire: usize,
-        ctx: &mut Context<'_>,
-    ) {
-        let envelope = view.materialize_pooled(self.engine.pool_mut());
-        let Envelope {
-            src,
-            dst,
-            epoch,
-            flags,
-            packet,
-        } = envelope;
-        let AskPacket::Data(pkt) = packet else {
-            unreachable!("fallback only invoked for data views");
-        };
-        let m = DataMeta {
-            src,
-            dst,
-            channel: pkt.channel,
-            seq: pkt.seq,
-            ecn,
-            wire,
-            occupied_before: pkt.occupied(),
-            payload,
-            epoch,
-            flags,
-        };
-        let verdict = if flags & FLAG_NO_AGGREGATE != 0 {
-            // Degraded pass-through: the dedup gate still runs so
-            // absorbed-but-unacked packets can't double-count, but nothing
-            // is aggregated — the receiver does all the work.
-            self.noagg_relayed += 1;
-            self.engine.process_data_no_aggregate(pkt)
-        } else {
-            self.engine.process_data(pkt)
-        };
-        self.emit_data_verdict(verdict, m, ctx);
     }
 
     /// Handles every packet kind other than data, with no materialization:
@@ -476,32 +389,39 @@ impl AskSwitch {
             if !self.epoch_admit(view.src(), view.epoch(), ctx) {
                 continue;
             }
-            let (src, dst, epoch, flags) = (view.src(), view.dst(), view.epoch(), view.flags());
-            let layout = self.engine.config().layout;
+            let (src, dst) = (view.src(), view.dst());
             match view.packet() {
-                PacketView::Data(d)
-                    if flags & FLAG_NO_AGGREGATE == 0 && d.matches_layout(&layout) =>
-                {
-                    meta.push(DataMeta {
+                PacketView::Data(d) if !d.matches_layout(&self.engine.config().layout) => {
+                    // Slots this program cannot address: relay raw, like an
+                    // untracked channel. The receiver reads the frame's own
+                    // layout, dedups and merges it. The pending batch flushes
+                    // first so responses leave in arrival order.
+                    self.flush_view_batch(&mut views, &mut meta, ctx);
+                    self.foreign_layout_relayed += 1;
+                    self.forward_raw(dst, payload, wire, ecn, ctx);
+                }
+                PacketView::Data(d) => {
+                    let m = DataMeta {
                         src,
                         dst,
                         channel: d.channel(),
                         seq: d.seq(),
                         ecn,
                         wire,
-                        occupied_before: d.occupied(),
                         payload,
-                        epoch,
-                        flags,
-                    });
-                    views.push(d.clone());
-                }
-                PacketView::Data(_) => {
-                    // Degraded or layout-mismatched frame: flush the pending
-                    // batch to preserve ordering, then materialize this one
-                    // packet.
-                    self.flush_view_batch(&mut views, &mut meta, ctx);
-                    self.data_fallback(&view, payload, ecn, wire, ctx);
+                    };
+                    if view.flags() & FLAG_NO_AGGREGATE != 0 {
+                        // Degraded pass-through: the dedup gate and PktState
+                        // still run so absorbed-but-unacked packets can't
+                        // double-count, but nothing is aggregated.
+                        self.flush_view_batch(&mut views, &mut meta, ctx);
+                        self.noagg_relayed += 1;
+                        let verdict = self.engine.process_view_no_aggregate(d);
+                        self.emit_view_verdict(verdict, d, m, ctx);
+                    } else {
+                        meta.push(m);
+                        views.push(d.clone());
+                    }
                 }
                 _ => {
                     self.flush_view_batch(&mut views, &mut meta, ctx);

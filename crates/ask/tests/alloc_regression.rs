@@ -19,8 +19,7 @@ use ask_wire::key::{Key, INLINE_KEY_CAP};
 use ask_wire::packet::{
     AggregateOp, AskPacket, ChannelId, DataPacket, FetchScope, KvTuple, SeqNo, TaskId,
 };
-use ask_wire::pool::PacketPool;
-use ask_wire::view::FrameView;
+use ask_wire::view::{DataPacketView, FrameView};
 use bytes::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -95,12 +94,13 @@ fn fetch_allocs(n: usize) -> (u64, usize) {
     let tuples = keys(n).into_iter().map(|k| KvTuple::new(k, 3));
     let stream = Packetizer::new(cfg.layout, cfg.long_kv_batch).packetize(tuples);
     for (seq, slots) in stream.data_payloads.into_iter().enumerate() {
-        engine.process_data(DataPacket {
+        let pkt = DataPacket {
             task,
             channel: ChannelId(0),
             seq: SeqNo(seq as u64),
             slots,
-        });
+        };
+        engine.process_view(&DataPacketView::from_packet(&pkt, &cfg.layout));
     }
     let (allocs, harvest) = allocs_during(|| engine.fetch(task, FetchScope::All, 1));
     (allocs, harvest.len())
@@ -129,8 +129,8 @@ fn completion_allocs(n: usize) -> (u64, usize) {
 }
 
 /// Parses a long-kv frame of `n` entries whose keys are all longer than
-/// [`INLINE_KEY_CAP`], then counts the allocations of materializing it
-/// through a pool — the host's long-kv fallback.
+/// [`INLINE_KEY_CAP`], then counts the allocations of materializing it —
+/// the owning decode (`decode_envelope`) of a long-kv frame.
 fn long_kv_materialize_allocs(n: usize) -> (u64, usize) {
     let layout = AskConfig::paper_default().layout;
     let entries: Vec<KvTuple> = (0..n)
@@ -150,8 +150,7 @@ fn long_kv_materialize_allocs(n: usize) -> (u64, usize) {
     };
     let view = FrameView::parse(encode_envelope_parts(1, 2, 0, 0, &packet, &layout))
         .expect("encoder output parses");
-    let mut pool = PacketPool::new();
-    let (allocs, env) = allocs_during(|| view.materialize_pooled(&mut pool));
+    let (allocs, env) = allocs_during(|| view.materialize());
     assert_eq!(env.packet, packet);
     let AskPacket::LongKv { entries, .. } = env.packet else {
         unreachable!("long-kv frames materialize as long-kv packets");

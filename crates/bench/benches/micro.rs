@@ -7,6 +7,7 @@ use ask::prelude::*;
 use ask::switch::AggregatorEngine;
 use ask_wire::codec::{decode, encode};
 use ask_wire::packet::{AskPacket, ChannelId, DataPacket, FetchScope, SeqNo, TaskId};
+use ask_wire::view::DataPacketView;
 use ask_workloads::text::uniform_stream;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
@@ -25,7 +26,53 @@ fn payloads(packetizer: &Packetizer, tuples: u64) -> Vec<Vec<Option<KvTuple>>> {
         .data_payloads
 }
 
-/// One full switch pass per packet, paper layout (24 slots).
+/// Pre-packetized data packets of task 1 on channel 0, handed out as wire
+/// views in rotation, each encoded with a fresh sequence number so the
+/// dedup window always classifies it First.
+struct FreshFrames {
+    layout: PacketLayout,
+    pkts: Vec<DataPacket>,
+    next: usize,
+    seq: u64,
+}
+
+impl FreshFrames {
+    fn new(packetizer: &Packetizer, layout: PacketLayout, tuples: u64) -> Self {
+        let pkts: Vec<DataPacket> = payloads(packetizer, tuples)
+            .into_iter()
+            .map(|slots| DataPacket {
+                task: TaskId(1),
+                channel: ChannelId(0),
+                seq: SeqNo(0),
+                slots,
+            })
+            .collect();
+        FreshFrames {
+            layout,
+            pkts,
+            next: 0,
+            seq: 0,
+        }
+    }
+
+    /// Mean slot tuples per packet, rounded: the elements one iteration
+    /// (one packet pass) processes.
+    fn tuples_per_packet(&self) -> u64 {
+        let total: usize = self.pkts.iter().map(|p| p.occupied()).sum();
+        (total as f64 / self.pkts.len() as f64).round() as u64
+    }
+
+    fn next_view(&mut self) -> DataPacketView {
+        let mut p = self.pkts[self.next % self.pkts.len()].clone();
+        p.seq = SeqNo(self.seq);
+        self.next += 1;
+        self.seq += 1;
+        DataPacketView::from_packet(&p, &self.layout)
+    }
+}
+
+/// One full switch pass per packet, paper layout (24 slots). Frame
+/// encoding happens in the untimed setup.
 fn bench_switch_pass(c: &mut Criterion) {
     let mut group = c.benchmark_group("switch_pass");
     for (name, layout) in [
@@ -33,30 +80,14 @@ fn bench_switch_pass(c: &mut Criterion) {
         ("single_key_ablation", PacketLayout::short_only(1)),
     ] {
         let (mut engine, packetizer) = engine_with(layout);
-        let pkts: Vec<DataPacket> = payloads(&packetizer, 24_000)
-            .into_iter()
-            .enumerate()
-            .map(|(i, slots)| DataPacket {
-                task: TaskId(1),
-                channel: ChannelId(0),
-                seq: SeqNo(i as u64),
-                slots,
-            })
-            .collect();
-        let tuples: usize = pkts.iter().map(|p| p.occupied()).sum();
-        group.throughput(Throughput::Elements(tuples as u64));
-        let mut seq = pkts.len() as u64;
+        let mut frames = FreshFrames::new(&packetizer, layout, 24_000);
+        group.throughput(Throughput::Elements(frames.tuples_per_packet()));
         group.bench_function(name, |b| {
-            let mut ix = 0usize;
-            b.iter(|| {
-                // Rotate through pre-built packets with fresh seqs so the
-                // dedup window always classifies First.
-                let mut p = pkts[ix % pkts.len()].clone();
-                p.seq = SeqNo(seq);
-                seq += 1;
-                ix += 1;
-                engine.process_data(p)
-            });
+            b.iter_batched(
+                || frames.next_view(),
+                |v| engine.process_view(&v),
+                BatchSize::SmallInput,
+            );
         });
     }
     group.finish();
@@ -111,37 +142,18 @@ fn bench_codec(c: &mut Criterion) {
     });
 }
 
-/// By-value data-packet ingest: the packet moves into the engine, which
-/// blanks aggregated slots in place (no per-packet clone on the fast path).
+/// One data-packet pass straight from the frame bytes: aggregation reads
+/// keys and values in place, nothing is materialized.
 fn bench_aggregator_ingest(c: &mut Criterion) {
-    let (mut engine, packetizer) = engine_with(PacketLayout::paper_default());
-    let pkts: Vec<DataPacket> = payloads(&packetizer, 24_000)
-        .into_iter()
-        .enumerate()
-        .map(|(i, slots)| DataPacket {
-            task: TaskId(1),
-            channel: ChannelId(0),
-            seq: SeqNo(i as u64),
-            slots,
-        })
-        .collect();
-    let tuples: usize = pkts.iter().map(|p| p.occupied()).sum();
+    let layout = PacketLayout::paper_default();
+    let (mut engine, packetizer) = engine_with(layout);
+    let mut frames = FreshFrames::new(&packetizer, layout, 24_000);
     let mut group = c.benchmark_group("aggregator_ingest");
-    group.throughput(Throughput::Elements(tuples as u64));
-    let mut seq = pkts.len() as u64;
-    let mut ix = 0usize;
+    group.throughput(Throughput::Elements(frames.tuples_per_packet()));
     group.bench_function("single_pass_24slot", |b| {
         b.iter_batched(
-            || {
-                // Build the owned packet outside the timed region so the
-                // measurement is the ingest pass alone.
-                let mut p = pkts[ix % pkts.len()].clone();
-                p.seq = SeqNo(seq);
-                seq += 1;
-                ix += 1;
-                p
-            },
-            |p| engine.process_data(p),
+            || frames.next_view(),
+            |v| engine.process_view(&v),
             BatchSize::SmallInput,
         );
     });
@@ -206,15 +218,11 @@ fn bench_batch_view_ingest(c: &mut Criterion) {
 
 /// Shadow-copy swap + inactive-copy harvest.
 fn bench_shadow_swap(c: &mut Criterion) {
-    let (mut engine, packetizer) = engine_with(PacketLayout::paper_default());
-    let pkts = payloads(&packetizer, 48_000);
-    for (seq, slots) in pkts.into_iter().enumerate() {
-        engine.process_data(DataPacket {
-            task: TaskId(1),
-            channel: ChannelId(0),
-            seq: SeqNo(seq as u64),
-            slots,
-        });
+    let layout = PacketLayout::paper_default();
+    let (mut engine, packetizer) = engine_with(layout);
+    let mut frames = FreshFrames::new(&packetizer, layout, 48_000);
+    for _ in 0..frames.pkts.len() {
+        engine.process_view(&frames.next_view());
     }
     let mut fetch_seq = 0u32;
     c.bench_function("shadow_swap_and_fetch", |b| {
@@ -259,30 +267,17 @@ fn bench_aggregate_ops(c: &mut Criterion) {
         let mut cfg = AskConfig::paper_default();
         cfg.layout = PacketLayout::paper_default();
         let packetizer = Packetizer::new(cfg.layout, 64);
+        let mut frames = FreshFrames::new(&packetizer, cfg.layout, 12_000);
         let mut engine = AggregatorEngine::new(cfg);
         engine
             .register_task_with_op(TaskId(1), 0, op)
             .expect("region");
-        let pkts: Vec<DataPacket> = payloads(&packetizer, 12_000)
-            .into_iter()
-            .enumerate()
-            .map(|(i, slots)| DataPacket {
-                task: TaskId(1),
-                channel: ChannelId(0),
-                seq: SeqNo(i as u64),
-                slots,
-            })
-            .collect();
-        let mut seq = pkts.len() as u64;
         group.bench_function(name, |b| {
-            let mut ix = 0usize;
-            b.iter(|| {
-                let mut p = pkts[ix % pkts.len()].clone();
-                p.seq = SeqNo(seq);
-                seq += 1;
-                ix += 1;
-                engine.process_data(p)
-            });
+            b.iter_batched(
+                || frames.next_view(),
+                |v| engine.process_view(&v),
+                BatchSize::SmallInput,
+            );
         });
     }
     group.finish();

@@ -188,32 +188,14 @@ fn main() {
     );
     println!("  total tuples in         {total}");
 
-    // Batching & memory-reuse footer (observational counters; not part of
-    // any golden-pinned figure body).
-    // Senders write frames straight from their tuples and own no pool
-    // traffic; only the receiver's materializing fallbacks draw on one.
+    // Batching footer (observational counters; not part of any
+    // golden-pinned figure body).
     let mut host_bursts = report.receiver.burst_len;
     for s in &report.senders {
         for (a, b) in host_bursts.iter_mut().zip(s.burst_len.iter()) {
             *a += b;
         }
     }
-    let rate = |h: u64, m: u64| {
-        if h + m == 0 {
-            "-".to_string()
-        } else {
-            pct(h as f64 / (h + m) as f64)
-        }
-    };
-    println!(
-        "  packet pool             switch {}/{} ({}), receiver {}/{} ({}) hits/misses (rate)",
-        report.switch_pool_hits,
-        report.switch_pool_misses,
-        rate(report.switch_pool_hits, report.switch_pool_misses),
-        report.receiver.pool_hits,
-        report.receiver.pool_misses,
-        rate(report.receiver.pool_hits, report.receiver.pool_misses),
-    );
     let hist = |h: &[u64]| {
         h.iter()
             .map(|c| c.to_string())

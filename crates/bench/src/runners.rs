@@ -151,12 +151,7 @@ pub struct AskReport {
     pub receiver_cpu_s: f64,
     /// Per-sender CPU busy time (s).
     pub sender_cpu_s: Vec<f64>,
-    /// Switch-side packet-pool takes served from the free list.
-    pub switch_pool_hits: u64,
-    /// Switch-side packet-pool takes that allocated.
-    pub switch_pool_misses: u64,
-    /// Data frames the switch fully absorbed without materializing a single
-    /// slot — pure view-path absorbs that never touched the packet pool.
+    /// Data frames the switch fully absorbed, answering with an ACK alone.
     pub switch_pure_absorb: u64,
 }
 
@@ -246,15 +241,12 @@ pub fn run_ask(run: &AskRun, streams: Vec<Vec<KvTuple>>) -> AskReport {
     if timed {
         PHASE_TOTALS.lock().unwrap().absorb(&service.phase_timing());
     }
-    let switch_pool = service.switch_ref().engine().pool();
     AskReport {
         jct_s,
         sender_elapsed_s: sender_elapsed,
         sender_goodput_bps: sender_goodput,
         sender_wire_bps: sender_wire,
         switch,
-        switch_pool_hits: switch_pool.hits(),
-        switch_pool_misses: switch_pool.misses(),
         switch_pure_absorb: service.switch_ref().pure_absorb_frames(),
         receiver: service.host_stats(receiver),
         senders: senders_stats,

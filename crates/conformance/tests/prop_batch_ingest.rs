@@ -1,21 +1,30 @@
-//! Property: the switch engine's burst ingest (`process_batch_views`) is
-//! observationally identical to one-at-a-time `process_data` on the
-//! materialized packets — same verdicts in the same order, same per-task
-//! counters, same pipeline passes, same fetchable switch memory, and
-//! residual frames byte-identical to re-encoding the reference's residual
-//! packets — for arbitrary channel-interleaved bursts including the
-//! duplicates and reorderings a chaotic network produces.
+//! Properties of the switch engine's view kernel that need no second,
+//! materializing kernel as a reference, for arbitrary channel-interleaved
+//! bursts including the duplicates and reorderings a chaotic network
+//! produces:
+//!
+//! - burst ingest (`process_batch_views`) over arbitrary burst boundaries
+//!   is observationally identical to one `process_view` call per packet —
+//!   same verdicts in the same order, same per-task counters, same
+//!   pipeline passes, same fetchable switch memory;
+//! - every residual frame is byte-identical to encoding the sent packet
+//!   with its absorbed slots blanked;
+//! - per task, switch memory plus the first forward of every distinct
+//!   `(channel, seq)` is exactly the reference aggregate of the distinct
+//!   packets sent: nothing lost, nothing absorbed twice.
 
 use ask::config::AskConfig;
+use ask::service::reference_aggregate;
 use ask::switch::aggregator::AggregatorEngine;
-use ask::switch::{DataVerdict, ViewVerdict};
-use ask_wire::codec::{decode_envelope, encode_envelope_parts};
+use ask::switch::ViewVerdict;
+use ask_wire::codec::encode_envelope_parts;
 use ask_wire::key::Key;
 use ask_wire::packet::{
     AskPacket, ChannelId, DataPacket, FetchScope, KvTuple, PacketLayout, SeqNo, TaskId,
 };
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 const SLOTS: usize = 8;
 const TASKS: u32 = 2;
@@ -94,6 +103,42 @@ fn build_stream(
     out
 }
 
+/// Parses every packet's frame from `src` to `dst` into the view the
+/// switch ingests.
+fn views_of(stream: &[DataPacket], src: u32, dst: u32) -> Vec<DataPacketView> {
+    let layout = PacketLayout::short_only(SLOTS);
+    stream
+        .iter()
+        .map(|p| {
+            let frame = encode_envelope_parts(src, dst, 0, 0, &AskPacket::Data(p.clone()), &layout);
+            match FrameView::parse(frame).expect("valid").into_packet() {
+                PacketView::Data(d) => d,
+                _ => unreachable!("data frames parse to data views"),
+            }
+        })
+        .collect()
+}
+
+/// Runs `views` through `engine` in bursts whose sizes cycle through
+/// `burst_sizes`, returning one verdict per view.
+fn ingest_in_bursts(
+    engine: &mut AggregatorEngine,
+    views: &[DataPacketView],
+    burst_sizes: &[usize],
+) -> Vec<ViewVerdict> {
+    let mut out = Vec::with_capacity(views.len());
+    let mut cursor = 0usize;
+    let mut sizes = burst_sizes.iter().cycle();
+    while cursor < views.len() {
+        let n = (*sizes.next().expect("cycled")).min(views.len() - cursor);
+        let before = out.len();
+        engine.process_batch_views(&views[cursor..cursor + n], &mut out);
+        assert_eq!(out.len() - before, n, "one verdict per packet");
+        cursor += n;
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -116,53 +161,18 @@ proptest! {
         dst in any::<u32>(),
     ) {
         let stream = build_stream(&per_channel, &interleave, &dup_from);
-        let layout = PacketLayout::short_only(SLOTS);
-        let frame_of = |p: &DataPacket| {
-            encode_envelope_parts(src, dst, 0, 0, &AskPacket::Data(p.clone()), &layout)
-        };
-        let views: Vec<DataPacketView> = stream
-            .iter()
-            .map(|p| match FrameView::parse(frame_of(p)).expect("valid").into_packet() {
-                PacketView::Data(d) => d,
-                _ => unreachable!("data frames parse to data views"),
-            })
-            .collect();
+        let views = views_of(&stream, src, dst);
 
-        // Sequential reference over the materialized packets.
+        // One view per call.
         let mut seq_engine = engine();
-        let seq_verdicts: Vec<DataVerdict> =
-            stream.iter().cloned().map(|p| seq_engine.process_data(p)).collect();
+        let seq_verdicts: Vec<ViewVerdict> =
+            views.iter().map(|v| seq_engine.process_view(v)).collect();
 
         // View batches over arbitrary burst boundaries.
         let mut bat_engine = engine();
-        let mut bat_verdicts = Vec::new();
-        let mut cursor = 0usize;
-        let mut sizes = burst_sizes.iter().cycle();
-        while cursor < views.len() {
-            let n = (*sizes.next().expect("cycled")).min(views.len() - cursor);
-            let mut verdicts = Vec::new();
-            bat_engine.process_batch_views(&views[cursor..cursor + n], &mut verdicts);
-            prop_assert_eq!(verdicts.len(), n, "one verdict per packet");
-            bat_verdicts.extend(verdicts);
-            cursor += n;
-        }
+        let bat_verdicts = ingest_in_bursts(&mut bat_engine, &views, &burst_sizes);
 
-        prop_assert_eq!(seq_verdicts.len(), bat_verdicts.len());
-        for (at, (s, v)) in seq_verdicts.iter().zip(&bat_verdicts).enumerate() {
-            match (s, v) {
-                (DataVerdict::Stale, ViewVerdict::Stale) => {}
-                (DataVerdict::FullyAggregated, ViewVerdict::FullyAggregated) => {}
-                (DataVerdict::Forward(p), ViewVerdict::Forward { residual }) => {
-                    prop_assert_eq!(p.bitmap(), *residual, "surviving slot sets diverge");
-                    prop_assert_eq!(
-                        frame_of(p),
-                        views[at].residual_frame(*residual),
-                        "re-framed residual is not byte-identical at packet {}", at
-                    );
-                }
-                other => panic!("verdicts diverge at packet {at}: {other:?}"),
-            }
-        }
+        prop_assert_eq!(seq_verdicts, bat_verdicts);
         prop_assert_eq!(seq_engine.passes_executed(), bat_engine.passes_executed());
         prop_assert_eq!(
             seq_engine.constraint_violations(),
@@ -187,16 +197,12 @@ proptest! {
         }
     }
 
-    /// The zero-materialization view batch (`process_batch_views`) over
-    /// parsed frames is observationally identical to materializing every
-    /// frame with `decode_envelope` and ingesting the owned packets over the
-    /// same burst boundaries: the materialized packets are the ones that
-    /// were sent, verdicts and counters match, fetchable memory matches, and
-    /// every partial absorb re-frames to the *byte-identical* wire frame that
-    /// re-encoding the materialized residual (with the decoded envelope's
-    /// addressing) produces.
+    /// Every partial absorb re-frames to the byte-identical frame of the
+    /// sent packet with its absorbed slots blanked, and per task the switch
+    /// memory plus the first forward of each distinct `(channel, seq)`
+    /// equals the reference aggregate of the distinct packets.
     #[test]
-    fn view_batch_matches_materializing_batch(
+    fn residual_frames_and_memory_match_the_reference(
         per_channel in proptest::collection::vec(
             proptest::collection::vec(
                 proptest::collection::vec(
@@ -214,74 +220,58 @@ proptest! {
         dst in any::<u32>(),
     ) {
         let stream = build_stream(&per_channel, &interleave, &dup_from);
+        let views = views_of(&stream, src, dst);
         let layout = PacketLayout::short_only(SLOTS);
-        let frames: Vec<_> = stream
-            .iter()
-            .map(|p| encode_envelope_parts(src, dst, 0, 0, &AskPacket::Data(p.clone()), &layout))
-            .collect();
-        let views: Vec<DataPacketView> = frames
-            .iter()
-            .map(|f| match FrameView::parse(f.clone()).expect("valid").into_packet() {
-                PacketView::Data(d) => d,
-                _ => unreachable!("data frames parse to data views"),
-            })
-            .collect();
+        let frame_of = |p: &DataPacket| {
+            encode_envelope_parts(src, dst, 0, 0, &AskPacket::Data(p.clone()), &layout)
+        };
+        let mut engine = engine();
+        let verdicts = ingest_in_bursts(&mut engine, &views, &burst_sizes);
 
-        let mut mat_engine = engine();
-        let mut view_engine = engine();
-        let mut cursor = 0usize;
-        let mut sizes = burst_sizes.iter().cycle();
-        while cursor < frames.len() {
-            let n = (*sizes.next().expect("cycled")).min(frames.len() - cursor);
-            let burst = cursor..cursor + n;
-            let mut mat_verdicts = Vec::new();
-            for (f, sent) in frames[burst.clone()].iter().zip(&stream[burst.clone()]) {
-                let env = decode_envelope(f.clone()).expect("valid");
-                prop_assert_eq!((env.src, env.dst), (src, dst));
-                let AskPacket::Data(p) = env.packet else {
-                    unreachable!("data frames decode to data packets")
-                };
-                prop_assert_eq!(&p, sent, "materialized packet differs from the sent one");
-                mat_verdicts.push((env.src, env.dst, mat_engine.process_data(p)));
+        let mut first_seen: HashSet<(ChannelId, SeqNo)> = HashSet::new();
+        let mut sent: HashMap<TaskId, Vec<KvTuple>> = HashMap::new();
+        let mut forwarded: HashMap<TaskId, Vec<KvTuple>> = HashMap::new();
+        for (at, (p, v)) in stream.iter().zip(&verdicts).enumerate() {
+            let first = first_seen.insert((p.channel, p.seq));
+            if first {
+                sent.entry(p.task).or_default().extend(p.slots.iter().flatten().cloned());
             }
-            let mut view_verdicts = Vec::new();
-            view_engine.process_batch_views(&views[burst.clone()], &mut view_verdicts);
-            prop_assert_eq!(mat_verdicts.len(), view_verdicts.len());
-            for (i, ((s, d, m), v)) in mat_verdicts.iter().zip(&view_verdicts).enumerate() {
-                let at = cursor + i;
-                match (m, v) {
-                    (DataVerdict::Stale, ViewVerdict::Stale) => {}
-                    (DataVerdict::FullyAggregated, ViewVerdict::FullyAggregated) => {}
-                    (DataVerdict::Forward(p), ViewVerdict::Forward { residual }) => {
-                        prop_assert_eq!(p.bitmap(), *residual, "surviving slot sets diverge");
-                        let reencoded = encode_envelope_parts(
-                            *s, *d, 0, 0, &AskPacket::Data(p.clone()), &layout,
-                        );
-                        let reframed = views[at].residual_frame(*residual);
-                        prop_assert_eq!(
-                            reencoded, reframed,
-                            "re-framed residual is not byte-identical at packet {}", at
-                        );
+            match *v {
+                ViewVerdict::Stale => prop_assert!(!first, "a first arrival went stale at {}", at),
+                ViewVerdict::FullyAggregated => {}
+                ViewVerdict::Forward { residual } => {
+                    prop_assert_eq!(residual & !p.bitmap(), 0, "forward grew the bitmap");
+                    let mut kept = p.clone();
+                    for (i, slot) in kept.slots.iter_mut().enumerate() {
+                        if residual & (1 << i) == 0 {
+                            *slot = None;
+                        }
                     }
-                    other => panic!("verdicts diverge at packet {at}: {other:?}"),
+                    prop_assert_eq!(
+                        views[at].residual_frame(residual),
+                        frame_of(&kept),
+                        "re-framed residual is not byte-identical at packet {}", at
+                    );
+                    if first {
+                        forwarded.entry(p.task).or_default().extend(kept.slots.into_iter().flatten());
+                    }
                 }
             }
-            cursor += n;
         }
 
         for t in 0..TASKS {
             let task = TaskId(t);
-            let mut m = mat_engine.task_stats(task).expect("registered");
-            let mut v = view_engine.task_stats(task).expect("registered");
-            // The burst histogram is the one intentionally batch-only
-            // observable; every protocol counter must match exactly.
-            m.burst_len = Default::default();
-            v.burst_len = Default::default();
-            prop_assert_eq!(m, v);
-            prop_assert_eq!(
-                mat_engine.fetch(task, FetchScope::All, 1),
-                view_engine.fetch(task, FetchScope::All, 1)
+            let fetched = engine.fetch(task, FetchScope::All, 1);
+            let got = reference_aggregate(
+                fetched
+                    .iter()
+                    .cloned()
+                    .chain(forwarded.remove(&task).unwrap_or_default()),
             );
+            let want = reference_aggregate(sent.remove(&task).unwrap_or_default());
+            prop_assert_eq!(got, want, "task {} lost or double-counted tuples", t);
         }
+        prop_assert_eq!(engine.duplicate_absorptions(), 0);
+        prop_assert_eq!(engine.constraint_violations(), 0);
     }
 }

@@ -61,7 +61,7 @@ pub trait Node: Any {
 }
 
 /// What ultimately happened to one frame offered to a link — the captured
-/// form of [`FrameFate`](crate::faults::FrameFate) plus congestion drops.
+/// form of the fault model's internal `FrameFate`, plus congestion drops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFate {
     /// The link's queue was full; the frame never entered the fault model.

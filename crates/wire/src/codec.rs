@@ -144,7 +144,7 @@ fn put_zero_pad(buf: &mut BytesMut, mut n: usize) {
 ///
 /// # Panics
 ///
-/// Panics if a [`DataPacket`]'s slot vector length differs from
+/// Panics if a [`DataPacket`](crate::packet::DataPacket)'s slot vector length differs from
 /// `layout.slot_count()`, or a slot carries a key wider than its slot.
 pub fn encode(packet: &AskPacket, layout: &PacketLayout) -> Bytes {
     let mut buf = BytesMut::with_capacity(encoded_size(packet, layout));
@@ -299,7 +299,7 @@ fn put_entries(buf: &mut BytesMut, entries: &[KvTuple]) {
 /// impossible declared layout, or trailing bytes.
 pub fn decode(buf: Bytes) -> Result<AskPacket, CodecError> {
     let packet = parse_body(&buf, 0)?;
-    Ok(build_packet(&buf, 0, &packet, None))
+    Ok(build_packet(&buf, 0, &packet))
 }
 
 /// An [`AskPacket`] wrapped with source/destination addressing, the unit a

@@ -35,7 +35,6 @@ pub mod codec;
 pub mod constants;
 pub mod key;
 pub mod packet;
-pub mod pool;
 pub mod view;
 
 /// Convenient glob import of the commonly used types.
@@ -50,7 +49,6 @@ pub mod prelude {
         AaRegion, AggregateOp, AskPacket, ChannelId, ControlMsg, DataPacket, FetchScope, KvTuple,
         PacketLayout, SeqNo, TaskId,
     };
-    pub use crate::pool::PacketPool;
     pub use crate::view::{DataPacketView, FrameView, PacketView, SlotView};
 }
 

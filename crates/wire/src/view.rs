@@ -3,7 +3,7 @@
 //!
 //! [`FrameView::parse`] checks an envelope once — CRC, header, then every
 //! body field, slot and key — and builds **no** owned packet: no
-//! `Vec<Option<KvTuple>>`, no pool traffic, no per-slot `Key` values.
+//! `Vec<Option<KvTuple>>`, no per-slot `Key` values.
 //! Header fields and slot (key, value) pairs are typed reads over the raw
 //! frame bytes, which is how the paper's Tofino pipeline consumes packets
 //! (the ASIC never "decodes"; it reads fields in place). Every other
@@ -12,27 +12,27 @@
 //! by [`FrameView::materialize`], and the bare-body
 //! [`decode`](crate::codec::decode) runs the walk at offset 0.
 //!
-//! The switch's ingest path parses a view, aggregates straight out of the
-//! slot bytes, and — when a packet is only partially absorbed — rewrites the
-//! frame with [`DataPacketView::residual_frame`], which copies the surviving
-//! slots and patches the bitmap and CRC in one exact-size buffer. The few
-//! frames a receiver must own (no-aggregate or foreign-layout data on the
-//! switch; long-kv bodies and foreign-layout data on a host) go through
-//! [`FrameView::materialize_pooled`], a builder that cannot fail because
-//! the view already validated every byte.
+//! Both receive paths consume views and nothing else. The switch
+//! aggregates straight out of the slot bytes and, when a packet is only
+//! partially absorbed, rewrites the frame with
+//! [`DataPacketView::residual_frame`], which copies the surviving slots and
+//! patches the bitmap and CRC in one exact-size buffer. A host merges data
+//! slots and long-kv or fetch-reply entries ([`FrameView::entries`]) into
+//! its residual table straight from the frame bytes. A view reads slot
+//! widths from the frame's own declared layout, so data in any layout is
+//! readable in place.
 
 use crate::codec::{
-    check_envelope_header, crc32, CodecError, Envelope, CTRL_EPOCH_NOTIFY, CTRL_REGION_DENY,
-    CTRL_REGION_GRANT, CTRL_REGION_RELEASE, CTRL_REGION_REQUEST, CTRL_TASK_ANNOUNCE,
-    ENVELOPE_HEADER_BYTES, KIND_ACK, KIND_CONTROL, KIND_DATA, KIND_FETCH_REPLY, KIND_FETCH_REQ,
-    KIND_FIN, KIND_LONG_KV, KIND_SWAP,
+    check_envelope_header, crc32, encode_envelope_parts, CodecError, Envelope, CTRL_EPOCH_NOTIFY,
+    CTRL_REGION_DENY, CTRL_REGION_GRANT, CTRL_REGION_RELEASE, CTRL_REGION_REQUEST,
+    CTRL_TASK_ANNOUNCE, ENVELOPE_HEADER_BYTES, KIND_ACK, KIND_CONTROL, KIND_DATA, KIND_FETCH_REPLY,
+    KIND_FETCH_REQ, KIND_FIN, KIND_LONG_KV, KIND_SWAP,
 };
 use crate::key::{fnv1a, Key, KeyError, KPART_BYTES};
 use crate::packet::{
     AaRegion, AggregateOp, AskPacket, ChannelId, ControlMsg, DataPacket, FetchScope, KvTuple,
     PacketLayout, SeqNo, TaskId,
 };
-use crate::pool::PacketPool;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::sync::Arc;
 
@@ -156,8 +156,8 @@ pub enum PacketView {
 /// A data packet readable directly from frame bytes.
 ///
 /// Header fields are pre-decoded at parse time (they are read on every
-/// path); slot bytes stay in place and are walked by [`slots`]
-/// (`DataPacketView::slots`). All slots were validated during
+/// path); slot bytes stay in place and are walked by
+/// [`slots`](DataPacketView::slots). All slots were validated during
 /// [`FrameView::parse`], so accessors never fail.
 #[derive(Debug, Clone)]
 pub struct DataPacketView {
@@ -285,23 +285,12 @@ impl FrameView {
     /// Builds the full owned [`Envelope`] without re-checksumming — the
     /// parse already validated the CRC and every field, so this cannot fail.
     pub fn materialize(&self) -> Envelope {
-        self.materialize_with(None)
-    }
-
-    /// [`FrameView::materialize`] drawing slot/tuple backing stores from
-    /// `pool` — the fallback for the frames a switch or daemon must own
-    /// (no-aggregate relays, foreign layouts, long-kv bodies).
-    pub fn materialize_pooled(&self, pool: &mut PacketPool) -> Envelope {
-        self.materialize_with(Some(pool))
-    }
-
-    fn materialize_with(&self, pool: Option<&mut PacketPool>) -> Envelope {
         Envelope {
             src: self.src,
             dst: self.dst,
             epoch: self.epoch,
             flags: self.flags,
-            packet: build_packet(&self.bytes, ENVELOPE_HEADER_BYTES, &self.packet, pool),
+            packet: build_packet(&self.bytes, ENVELOPE_HEADER_BYTES, &self.packet),
         }
     }
 }
@@ -523,24 +512,15 @@ fn entry_views<'a>(bytes: &'a [u8], body: usize, packet: &PacketView) -> Option<
 }
 
 /// Builds the owned packet for a body [`parse_body`] already validated at
-/// `bytes[body..]`; cannot fail. Slot and entry vectors come from `pool`
-/// when one is given. Entry keys longer than
+/// `bytes[body..]`; cannot fail. Entry keys longer than
 /// [`INLINE_KEY_CAP`](crate::key::INLINE_KEY_CAP) become slices of
 /// `bytes` rather than copies, so a long-kv body costs no allocation per
 /// key.
-pub(crate) fn build_packet(
-    bytes: &Bytes,
-    body: usize,
-    packet: &PacketView,
-    mut pool: Option<&mut PacketPool>,
-) -> AskPacket {
+pub(crate) fn build_packet(bytes: &Bytes, body: usize, packet: &PacketView) -> AskPacket {
     match *packet {
         PacketView::Data(ref d) => {
             let n = d.short_slots() + d.medium_groups();
-            let mut slots = match pool.as_deref_mut() {
-                Some(p) => p.take_slots(n),
-                None => Vec::with_capacity(n),
-            };
+            let mut slots = Vec::with_capacity(n);
             for s in d.slots() {
                 slots.resize(s.index(), None);
                 slots.push(Some(KvTuple::new(s.key(), s.value())));
@@ -559,7 +539,7 @@ pub(crate) fn build_packet(
             task,
             channel,
             seq,
-            entries: build_entries(bytes, body, packet, pool),
+            entries: build_entries(bytes, body, packet),
         },
         PacketView::Ack { channel, seq, ece } => AskPacket::Ack { channel, seq, ece },
         PacketView::Fin { task, channel, seq } => AskPacket::Fin { task, channel, seq },
@@ -573,33 +553,23 @@ pub(crate) fn build_packet(
             scope,
             fetch_seq,
         },
-        // Fetch-reply entries go behind a shared `Arc` (fetch cache,
-        // replayed replies), so their backing store is never pooled.
         PacketView::FetchReply {
             task, fetch_seq, ..
         } => AskPacket::FetchReply {
             task,
             fetch_seq,
-            entries: Arc::new(build_entries(bytes, body, packet, None)),
+            entries: Arc::new(build_entries(bytes, body, packet)),
         },
         PacketView::Control(ref msg) => AskPacket::Control(msg.clone()),
     }
 }
 
 /// The owned entry list of a validated long-kv or fetch-reply body.
-fn build_entries(
-    bytes: &Bytes,
-    body: usize,
-    packet: &PacketView,
-    pool: Option<&mut PacketPool>,
-) -> Vec<KvTuple> {
+fn build_entries(bytes: &Bytes, body: usize, packet: &PacketView) -> Vec<KvTuple> {
     let views = entry_views(bytes, body, packet).expect("entry-bearing kind");
     // The count was validated against the body length, so it is safe to
     // reserve exactly.
-    let mut out = match pool {
-        Some(p) => p.take_tuples(views.len()),
-        None => Vec::with_capacity(views.len()),
-    };
+    let mut out = Vec::with_capacity(views.len());
     for e in views {
         let key = Key::from_validated_bytes(bytes.slice(e.at..e.at + e.key.len()));
         out.push(KvTuple::new(key, e.value));
@@ -631,6 +601,22 @@ fn validate_entries(b: &[u8], total: usize, pos: &mut usize) -> Result<u32, Code
 }
 
 impl DataPacketView {
+    /// Encodes `packet` in `layout` as a frame from node 0 to node 0
+    /// (epoch 0, no flags) and parses it back: the view a switch would
+    /// aggregate, for tests and benchmarks that start from an owned packet.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`encode`](crate::codec::encode) does: a slot vector
+    /// that does not fit `layout`.
+    pub fn from_packet(packet: &DataPacket, layout: &PacketLayout) -> DataPacketView {
+        let bytes = encode_envelope_parts(0, 0, 0, 0, &AskPacket::Data(packet.clone()), layout);
+        match FrameView::parse(bytes).map(FrameView::into_packet) {
+            Ok(PacketView::Data(d)) => d,
+            other => unreachable!("an encoded data packet parses to a data view: {other:?}"),
+        }
+    }
+
     /// Aggregation task.
     pub fn task(&self) -> TaskId {
         self.task
@@ -816,7 +802,7 @@ impl SlotView<'_> {
         rd_u32(self.padded, j * KPART_BYTES)
     }
 
-    /// Materializes the key (fallback paths and tests).
+    /// Materializes the key (the owning decoders and tests).
     pub fn key(&self) -> Key {
         Key::from_validated_slice(&self.padded[..self.key_len])
     }
@@ -863,7 +849,7 @@ impl<'a> EntryView<'a> {
         fnv1a(self.key)
     }
 
-    /// Materializes the key (fallback paths and tests).
+    /// Materializes the key (the owning decoders and tests).
     pub fn key(&self) -> Key {
         Key::from_validated_slice(self.key)
     }

@@ -98,6 +98,74 @@ fn misrouted_data_is_orphaned_and_acked() {
     assert_eq!(result[&Key::from_u64(1)], 1);
 }
 
+#[test]
+fn foreign_layout_data_is_relayed_raw_not_aggregated() {
+    // Regression: a CRC-valid data frame whose declared slot layout is not
+    // the switch's own used to be aggregated against the switch's register
+    // map. A wider layout indexed past the aggregator arrays and panicked
+    // the switch; an equally wide one with a short slot where the switch
+    // has a medium group would have claimed registers with a blank key
+    // segment. The switch now relays such frames raw, untouched by dedup
+    // state, and the receiver merges them from the frame's own layout.
+    use ask_wire::codec::encode_envelope_parts;
+    use ask_wire::packet::{AskPacket, ChannelId, DataPacket, PacketLayout, SeqNo, CHANNEL_STRIDE};
+
+    for (layout, slot) in [
+        (PacketLayout::short_only(16), 10),
+        (PacketLayout::short_only(6), 5),
+    ] {
+        let mut service = AskServiceBuilder::new(2)
+            .config(AskConfig::tiny())
+            .seed(4)
+            .build();
+        let hosts = service.hosts().to_vec();
+        let switch = service.switch_id();
+        let task = TaskId(1);
+        service.submit_task(task, hosts[0], &[hosts[1]]);
+        // Run until the switch has granted the task's region. Not
+        // `run_to_idle`: an unfinished task's announce timer re-arms forever.
+        for _ in 0..100 {
+            if service.switch_stats(task).is_some() {
+                break;
+            }
+            service.network_mut().run(None, Some(200));
+        }
+        assert!(service.switch_stats(task).is_some(), "region granted");
+
+        // Forge the frame from host 1, on a channel its daemon does not use.
+        let forged_key = Key::from_u64(7);
+        let mut slots = vec![None; layout.slot_count()];
+        slots[slot] = Some(KvTuple::new(forged_key.clone(), 42));
+        let forged = AskPacket::Data(DataPacket {
+            task,
+            channel: ChannelId(hosts[1].index() as u32 * CHANNEL_STRIDE + 7),
+            seq: SeqNo(0),
+            slots,
+        });
+        let (from, to) = (hosts[1].index() as u32, hosts[0].index() as u32);
+        let bytes = encode_envelope_parts(from, to, 0, 0, &forged, &layout);
+        let wire = forged.wire_bytes(&layout);
+        service
+            .network_mut()
+            .with_node::<AskDaemon, _>(hosts[1], |_daemon, ctx| {
+                let _ = ctx.send(switch, Frame::with_wire_bytes(bytes.clone(), wire));
+            });
+
+        service.submit_stream(task, hosts[1], vec![KvTuple::new(Key::from_u64(1), 5)]);
+        service
+            .run_until_complete(task, hosts[0], 5_000_000)
+            .unwrap();
+        assert_eq!(service.switch_ref().foreign_layout_relayed(), 1);
+        let result = service.result(task, hosts[0]).unwrap();
+        assert_eq!(result.len(), 2, "{layout:?}");
+        assert_eq!(
+            result[&forged_key], 42,
+            "the forged tuple reaches the receiver"
+        );
+        assert_eq!(result[&Key::from_u64(1)], 5);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Switch-crash matrix: the switch dies at a chosen fraction of the clean
 // run's completion time, loses every register array and dedup window, and
